@@ -2,11 +2,12 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-json bench-diff bench-serve bench-deploy soak cover tables csv report fuzz examples clean
+.PHONY: all check build vet test test-short bench-verify race race-core race-deploy race-shard-faults race-churn race-serve bench bench-json bench-diff bench-serve bench-deploy soak cover tables csv report fuzz examples clean
 
 all: build vet test
 
-# The full pre-merge gate: vet, build, an uncached race pass over the
+# The full pre-merge gate: vet, build, the end-to-end benchmark's own
+# verification tests, an uncached race pass over the
 # concurrency-critical packages, a hazard-heavy multi-worker shard run
 # under the race detector, a churned multi-worker shard run plus the
 # churn differential suite under the race detector, the mission server
@@ -14,7 +15,7 @@ all: build vet test
 # under the race detector, one quick benchmark iteration to catch
 # allocation or wall-time blowups, a battery-depletion soak, and the
 # observability coverage floor before they land.
-check: vet build race-core race-deploy race-shard-faults race-churn race-serve race bench soak cover
+check: vet build bench-verify race-core race-deploy race-shard-faults race-churn race-serve race bench soak cover
 
 build:
 	$(GO) build ./...
@@ -27,6 +28,12 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The end-to-end benchmark's own verification (shard checksums against
+# the Shards=1 oracle, serve bodies against serve.Oneshot). wsnbench is
+# its own module, so `go test ./...` at the root never enters it.
+bench-verify:
+	cd wsnbench && $(GO) test .
 
 race:
 	$(GO) test -race ./...
@@ -134,7 +141,7 @@ bench-deploy:
 bench-serve:
 	$(GO) run ./cmd/wsnserve -selftest -bench-json BENCH_3.json
 
-# Regenerate every experiment table (E1-E21, A1-A3).
+# Regenerate every experiment table (E1-E26, A1-A3).
 tables:
 	$(GO) run ./cmd/benchtab
 

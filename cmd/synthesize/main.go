@@ -74,21 +74,20 @@ func main() {
 	fmt.Printf("\n=== Synthesized node program (Figure 4) ===\n")
 	spec := synth.LabelingProgram(synth.Config{
 		Hier:  h,
-		Coord: geom.Coord{},
-		Sense: func() *regions.Summary { return nil },
+		Sense: func(geom.Coord) *regions.Summary { return nil },
 	})
 	fmt.Println(spec.Listing())
 
 	if *all {
 		fmt.Printf("\n=== Synthesized alarm program (event-driven regime) ===\n")
 		alarm := synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: geom.Coord{}, Hot: func() bool { return false }, Quorum: 4,
+			Hier: h, Hot: func(geom.Coord) bool { return false }, Quorum: 4,
 		})
 		fmt.Println(alarm.Listing())
 
 		fmt.Printf("\n=== Synthesized tracking program ===\n")
 		track := synth.TrackingProgram(synth.TrackingConfig{
-			Hier: h, Coord: geom.Coord{}, Strength: func() float64 { return 0 },
+			Hier: h, Strength: func(geom.Coord) float64 { return 0 },
 		})
 		fmt.Println(track.Listing())
 	}

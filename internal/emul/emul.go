@@ -46,7 +46,6 @@ type Machine struct {
 
 	// Fault layer (see faults.go).
 	failovers int64
-	unrouted  int64
 
 	tracer *trace.Tracer
 }
@@ -190,7 +189,6 @@ func (m *Machine) forward(id int, env appMsg) {
 		hop, ok := m.toLeader[id]
 		if !ok {
 			// Failures cut this relay off from its cell's leader.
-			m.unrouted++
 			if m.tracer != nil {
 				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no path to leader"))
 			}
@@ -207,7 +205,6 @@ func (m *Machine) forward(id int, env appMsg) {
 		if err != nil {
 			// No alive route in that direction (ForwardPath refuses chains
 			// through dead nodes). Complete fault-free tables never err here.
-			m.unrouted++
 			if m.tracer != nil {
 				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no forward path"))
 			}
@@ -239,7 +236,6 @@ func (m *Machine) onPacket(id int, pkt radio.Packet) {
 // — the virtual process has moved (or died) with its executor.
 func (m *Machine) dispatch(id int, env appMsg) {
 	if !m.up(id) || m.bnd.Leaders[env.to] != id {
-		m.unrouted++
 		if m.tracer != nil {
 			m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: dead or deposed leader"))
 		}
@@ -298,8 +294,7 @@ func (f *emulFx) Exfiltrate(result any) {
 }
 func (f *emulFx) Compute(units int64) { f.m.Compute(f.coord, units) }
 func (f *emulFx) Sense(units int64)   { f.m.Sense(f.coord, units) }
-
-const maxQuiescenceSteps = 1 << 16
+func (f *emulFx) Coord() geom.Coord   { return f.coord }
 
 // RunLabeling executes one synthesized labeling round entirely over the
 // physical network and returns the result. The map's grid must match the
@@ -308,9 +303,7 @@ func (m *Machine) RunLabeling(fmap *field.BinaryMap) (*Result, error) {
 	if fmap.Grid != m.hier.Grid {
 		return nil, fmt.Errorf("emul: map grid and hierarchy grid differ")
 	}
-	res, _, err := m.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: m.hier, Coord: c, Sense: synth.SenseFromMap(fmap, c)})
-	})
+	res, _, err := m.RunProgram(synth.LabelingProgram(synth.Config{Hier: m.hier, Sense: synth.SenseFromMap(fmap)}))
 	if err != nil {
 		return nil, err
 	}
@@ -320,17 +313,17 @@ func (m *Machine) RunLabeling(fmap *field.BinaryMap) (*Result, error) {
 	return res, nil
 }
 
-// RunProgram executes one round of an arbitrary synthesized program set on
+// RunProgram executes one round of an arbitrary synthesized program on
 // the physical network and returns the result plus each virtual node's
 // final environment (grid-index order) for programs that publish state
 // instead of exfiltrating.
-func (m *Machine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, []*program.Env, error) {
+func (m *Machine) RunProgram(spec *program.Spec) (*Result, []*program.Env, error) {
 	res := &Result{}
 	insts := make([]*program.Instance, 0, m.hier.Grid.N())
 	for _, c := range m.hier.Grid.Coords() {
 		c := c
 		fx := &emulFx{m: m, coord: c, out: res}
-		inst := program.NewInstance(factory(c), fx)
+		inst := program.NewInstance(spec, fx)
 		if m.tracer != nil {
 			inst.SetFireHook(func(rule string) {
 				m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.RuleFire,
@@ -340,12 +333,12 @@ func (m *Machine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result,
 		}
 		insts = append(insts, inst)
 		m.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
+			inst.OnMessage(msg.Payload)
 		})
 	}
 	m.vphase("emul-round:start")
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 	m.Kernel().Run()
 	m.vphase("emul-round:end")

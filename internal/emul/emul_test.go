@@ -9,7 +9,6 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
@@ -163,11 +162,7 @@ func TestPhysicalAlarmProgram(t *testing.T) {
 		"....",
 	)
 	const quorum = 2
-	res, envs, err := m.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return hot.At(c) }, Quorum: quorum,
-		})
-	})
+	res, envs, err := m.RunProgram(synth.AlarmProgram(synth.AlarmConfig{Hier: h, Hot: hot.At, Quorum: quorum}))
 	if err != nil {
 		t.Fatal(err)
 	}

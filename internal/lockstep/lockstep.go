@@ -108,6 +108,8 @@ func (f *nodeFx) Sense(units int64) {
 	f.eng.ledger.Charge(f.eng.hier.Grid.Index(f.coord), cost.Sense, units)
 }
 
+func (f *nodeFx) Coord() geom.Coord { return f.coord }
+
 // xyRoute mirrors routing.XYRoute but is local to avoid an import cycle
 // hazard if routing ever grows a lockstep dependency; the two are asserted
 // equal in tests.
@@ -133,9 +135,6 @@ func xyRoute(g *geom.Grid, src, dst geom.Coord) []geom.Coord {
 	return route
 }
 
-// maxQuiescenceSteps mirrors the other drivers' bound.
-const maxQuiescenceSteps = 1 << 16
-
 // maxRounds guards against a livelocked round loop; no correct program
 // needs more rounds than total route length, itself far below this.
 const maxRounds = 1 << 20
@@ -145,9 +144,7 @@ func (e *Engine) Run(m *field.BinaryMap) (*Result, error) {
 	if m.Grid != e.hier.Grid {
 		return nil, fmt.Errorf("lockstep: map grid and hierarchy grid differ")
 	}
-	res, err := e.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: e.hier, Coord: c, Sense: synth.SenseFromMap(m, c)})
-	})
+	res, err := e.RunProgram(synth.LabelingProgram(synth.Config{Hier: e.hier, Sense: synth.SenseFromMap(m)}))
 	if err != nil {
 		return nil, err
 	}
@@ -157,23 +154,23 @@ func (e *Engine) Run(m *field.BinaryMap) (*Result, error) {
 	return res, nil
 }
 
-// RunProgram executes an arbitrary synthesized program set in lock-step
+// RunProgram executes an arbitrary synthesized program in lock-step
 // rounds. The round loop ends at the first exfiltration (the labeling
 // pattern) or at quiescence with Rounds set to the last round that moved a
 // message, whichever comes first; programs that never exfiltrate (like
 // tracking) are read back through their Envs.
-func (e *Engine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, error) {
+func (e *Engine) RunProgram(spec *program.Spec) (*Result, error) {
 	g := e.hier.Grid
 	st := &runState{hier: e.hier, ledger: e.ledger, res: &Result{}}
 	insts := make([]*program.Instance, g.N())
 	for _, c := range g.Coords() {
 		fx := &nodeFx{eng: st, coord: c}
-		insts[g.Index(c)] = program.NewInstance(factory(c), fx)
+		insts[g.Index(c)] = program.NewInstance(spec, fx)
 	}
 
 	// Round 0: every node runs its start rules; sends enter flight.
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 
 	for rounds := 0; ; rounds++ {
@@ -204,7 +201,7 @@ func (e *Engine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, 
 		sort.Slice(arrived, func(i, j int) bool { return arrived[i].seq < arrived[j].seq })
 		for _, fl := range arrived {
 			dst := fl.route[len(fl.route)-1]
-			insts[g.Index(dst)].OnMessage(fl.payload, maxQuiescenceSteps)
+			insts[g.Index(dst)].OnMessage(fl.payload)
 		}
 	}
 	st.res.Envs = make([]*program.Env, len(insts))

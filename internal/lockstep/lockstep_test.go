@@ -7,7 +7,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/regions"
 	"wsnva/internal/routing"
 	"wsnva/internal/sim"
@@ -186,11 +185,7 @@ func TestRunProgramTrackingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := cost.NewLedger(cost.NewUniform(), g.N())
-	res, err := New(h, l).RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.TrackingProgram(synth.TrackingConfig{
-			Hier: h, Coord: c, Strength: func() float64 { return strength(c) },
-		})
-	})
+	res, err := New(h, l).RunProgram(synth.TrackingProgram(synth.TrackingConfig{Hier: h, Strength: strength}))
 	if err != nil {
 		t.Fatal(err)
 	}

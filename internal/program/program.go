@@ -17,24 +17,33 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"wsnva/internal/geom"
 )
 
-// Env is a node's mutable state: named integer, boolean, and object
-// registers, plus the queue of received-but-unprocessed messages.
+// Env is a node's mutable state: integer, boolean, and object registers
+// addressed by slot, plus the queue of received-but-unprocessed messages.
+// A program names its slots with constants and declares how many of each
+// kind it uses in its Spec, which sizes the registers at instantiation.
 type Env struct {
-	Ints  map[string]int64
-	Bools map[string]bool
-	Objs  map[string]any
+	Ints  []int64
+	Bools []bool
+	Objs  []any
 	inbox []any
 }
 
-// NewEnv returns an empty environment.
-func NewEnv() *Env {
-	return &Env{
-		Ints:  make(map[string]int64),
-		Bools: make(map[string]bool),
-		Objs:  make(map[string]any),
+// NewEnv returns an environment with no registers and an empty inbox.
+func NewEnv() *Env { return &Env{} }
+
+// slots returns s resized to n zeroed elements, reusing its backing array
+// when it is large enough.
+func slots[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Deliver enqueues a received message for rule consumption.
@@ -55,8 +64,12 @@ func (e *Env) TakeMsg() any {
 	if len(e.inbox) == 0 {
 		panic("program: TakeMsg on empty inbox")
 	}
+	// Shift in place rather than reslicing past the head, so the inbox
+	// keeps its capacity and a steady message stream allocates nothing.
 	m := e.inbox[0]
-	e.inbox = e.inbox[1:]
+	n := copy(e.inbox, e.inbox[1:])
+	e.inbox[n] = nil
+	e.inbox = e.inbox[:n]
 	return m
 }
 
@@ -76,6 +89,9 @@ type Effector interface {
 	Compute(units int64)
 	// Sense charges one sensor reading.
 	Sense(units int64)
+	// Coord is the virtual coordinate of the node the instance runs on,
+	// so one Spec can serve every node of a homogeneous program.
+	Coord() geom.Coord
 }
 
 // Rule is one guarded command: a Condition/Action clause of Figure 4.
@@ -87,11 +103,16 @@ type Rule struct {
 	Action    func(e *Env, fx Effector)
 }
 
-// Spec is a synthesized program: initial state plus an ordered rule set.
+// Spec is a synthesized program: register counts, initial state, and an
+// ordered rule set.
 type Spec struct {
 	Title string
 	Init  func(e *Env)
 	Rules []Rule
+
+	// Ints, Bools, and Objs are the number of Env register slots of each
+	// kind the rules address.
+	Ints, Bools, Objs int
 }
 
 // Listing renders the program in the Condition/Action style of paper
@@ -128,11 +149,11 @@ func (inst *Instance) SetFireHook(h func(rule string)) { inst.fireHook = h }
 
 // instPool recycles released Instances (with their Envs) across runs. The
 // experiment sweeps instantiate one program per grid cell per trial — tens
-// of thousands of instances, each costing three map headers plus their
-// first-insert buckets — and a recycled Env keeps its (cleared) buckets,
-// so steady-state instantiation allocates nothing. The pool is shared by
-// the parallel trial workers; every recycled instance is reset to exactly
-// the state a fresh one starts in, so reuse never changes results.
+// of thousands of instances — and a recycled Env keeps its register
+// arrays, so steady-state instantiation allocates only what Init does.
+// The pool is shared by the parallel trial workers; every recycled
+// instance is reset to exactly the state a fresh one starts in, so reuse
+// never changes results.
 var instPool = sync.Pool{New: func() any { return &Instance{Env: NewEnv()} }}
 
 // NewInstance instantiates spec with the given effector and runs Init.
@@ -142,14 +163,11 @@ func NewInstance(spec *Spec, fx Effector) *Instance {
 	inst := instPool.Get().(*Instance)
 	inst.Spec = spec
 	inst.fx = fx
-	if cap(inst.firedByRule) < len(spec.Rules) {
-		inst.firedByRule = make([]int64, len(spec.Rules))
-	} else {
-		inst.firedByRule = inst.firedByRule[:len(spec.Rules)]
-		for i := range inst.firedByRule {
-			inst.firedByRule[i] = 0
-		}
-	}
+	e := inst.Env
+	e.Ints = slots(e.Ints, spec.Ints)
+	e.Bools = slots(e.Bools, spec.Bools)
+	e.Objs = slots(e.Objs, spec.Objs)
+	inst.firedByRule = slots(inst.firedByRule, len(spec.Rules))
 	if spec.Init != nil {
 		spec.Init(inst.Env)
 	}
@@ -158,17 +176,16 @@ func NewInstance(spec *Spec, fx Effector) *Instance {
 
 // Release returns inst to the instance pool. The caller promises the
 // instance is quiescent and no longer referenced: values still held in its
-// Env (result summaries, delivered payloads) survive — only the containers
+// Env (result summaries, delivered payloads) survive — only the registers
 // are cleared — but the instance itself must not be touched again. Release
 // of an instance is optional; an un-released instance is simply garbage.
 func (inst *Instance) Release() {
 	e := inst.Env
-	clear(e.Ints)
-	clear(e.Bools)
+	// Consumed inbox slots are already nil, so clearing the live ones
+	// keeps the pool from retaining references to delivered payloads.
 	clear(e.Objs)
-	// Dropping the inbox outright (rather than reslicing) keeps the pool
-	// from retaining references to delivered payloads.
-	e.inbox = nil
+	clear(e.inbox)
+	e.inbox = e.inbox[:0]
 	inst.Spec = nil
 	inst.fx = nil
 	inst.fired = 0
@@ -201,24 +218,28 @@ func (inst *Instance) FiredByRule() []int64 {
 	return append([]int64(nil), inst.firedByRule...)
 }
 
+// maxQuiescenceSteps bounds rule firings per activation; a correct program
+// fires O(levels) rules per event.
+const maxQuiescenceSteps = 1 << 16
+
 // RunToQuiescence fires rules until none is enabled, returning the number
-// fired. It panics after maxSteps firings — a livelocked rule set is a
-// synthesis bug, not a runtime condition.
-func (inst *Instance) RunToQuiescence(maxSteps int) int {
+// fired. It panics after maxQuiescenceSteps firings — a livelocked rule
+// set is a synthesis bug, not a runtime condition.
+func (inst *Instance) RunToQuiescence() int {
 	n := 0
 	for inst.Step() {
 		n++
-		if n > maxSteps {
-			panic(fmt.Sprintf("program: no quiescence after %d steps in %q", maxSteps, inst.Spec.Title))
+		if n > maxQuiescenceSteps {
+			panic(fmt.Sprintf("program: no quiescence after %d steps in %q", maxQuiescenceSteps, inst.Spec.Title))
 		}
 	}
 	return n
 }
 
 // OnMessage delivers msg and runs to quiescence.
-func (inst *Instance) OnMessage(msg any, maxSteps int) int {
+func (inst *Instance) OnMessage(msg any) int {
 	inst.Env.Deliver(msg)
-	return inst.RunToQuiescence(maxSteps)
+	return inst.RunToQuiescence()
 }
 
 // Fired returns the total number of rule firings on this instance.

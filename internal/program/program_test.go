@@ -3,6 +3,8 @@ package program
 import (
 	"strings"
 	"testing"
+
+	"wsnva/internal/geom"
 )
 
 // nullFx is an Effector that records calls.
@@ -17,28 +19,34 @@ func (f *nullFx) Send(level int, size int64, payload any) { f.sends++ }
 func (f *nullFx) Exfiltrate(result any)                   { f.exfils++ }
 func (f *nullFx) Compute(units int64)                     { f.comps += units }
 func (f *nullFx) Sense(units int64)                       { f.senses += units }
+func (f *nullFx) Coord() geom.Coord                       { return geom.Coord{} }
+
+// Register slots of the counter program.
+const (
+	iN  = 0 // int: the count
+	bGo = 0 // bool: counting
+)
 
 func counterSpec() *Spec {
 	return &Spec{
 		Title: "counter",
-		Init: func(e *Env) {
-			e.Ints["n"] = 0
-			e.Bools["go"] = true
-		},
+		Ints:  1,
+		Bools: 1,
+		Init:  func(e *Env) { e.Bools[bGo] = true },
 		Rules: []Rule{
 			{
 				Name:      "tick",
 				Condition: "go and n < 3",
 				Effect:    "n++",
-				Guard:     func(e *Env) bool { return e.Bools["go"] && e.Ints["n"] < 3 },
-				Action:    func(e *Env, fx Effector) { e.Ints["n"]++; fx.Compute(1) },
+				Guard:     func(e *Env) bool { return e.Bools[bGo] && e.Ints[iN] < 3 },
+				Action:    func(e *Env, fx Effector) { e.Ints[iN]++; fx.Compute(1) },
 			},
 			{
 				Name:      "stop",
 				Condition: "n = 3",
 				Effect:    "go = false",
-				Guard:     func(e *Env) bool { return e.Bools["go"] && e.Ints["n"] == 3 },
-				Action:    func(e *Env, fx Effector) { e.Bools["go"] = false },
+				Guard:     func(e *Env) bool { return e.Bools[bGo] && e.Ints[iN] == 3 },
+				Action:    func(e *Env, fx Effector) { e.Bools[bGo] = false },
 			},
 		},
 	}
@@ -47,12 +55,12 @@ func counterSpec() *Spec {
 func TestRunToQuiescence(t *testing.T) {
 	fx := &nullFx{}
 	inst := NewInstance(counterSpec(), fx)
-	fired := inst.RunToQuiescence(100)
+	fired := inst.RunToQuiescence()
 	if fired != 4 {
 		t.Errorf("fired %d rules, want 4 (3 ticks + stop)", fired)
 	}
-	if inst.Env.Ints["n"] != 3 || inst.Env.Bools["go"] {
-		t.Errorf("final state n=%d go=%v", inst.Env.Ints["n"], inst.Env.Bools["go"])
+	if inst.Env.Ints[iN] != 3 || inst.Env.Bools[bGo] {
+		t.Errorf("final state n=%d go=%v", inst.Env.Ints[iN], inst.Env.Bools[bGo])
 	}
 	if fx.comps != 3 {
 		t.Errorf("compute units = %d", fx.comps)
@@ -68,7 +76,7 @@ func TestRunToQuiescence(t *testing.T) {
 
 func TestFiredByRule(t *testing.T) {
 	inst := NewInstance(counterSpec(), &nullFx{})
-	inst.RunToQuiescence(100)
+	inst.RunToQuiescence()
 	byRule := inst.FiredByRule()
 	if len(byRule) != 2 {
 		t.Fatalf("got %d rule counters", len(byRule))
@@ -87,28 +95,30 @@ func TestRulePriorityOrder(t *testing.T) {
 	var fired []string
 	spec := &Spec{
 		Title: "priority",
-		Init:  func(e *Env) { e.Bools["a"] = true; e.Bools["b"] = true },
+		Bools: 2,
+		Init:  func(e *Env) { e.Bools[0] = true; e.Bools[1] = true },
 		Rules: []Rule{
-			{Name: "first", Guard: func(e *Env) bool { return e.Bools["a"] },
-				Action: func(e *Env, fx Effector) { fired = append(fired, "first"); e.Bools["a"] = false }},
-			{Name: "second", Guard: func(e *Env) bool { return e.Bools["b"] },
-				Action: func(e *Env, fx Effector) { fired = append(fired, "second"); e.Bools["b"] = false }},
+			{Name: "first", Guard: func(e *Env) bool { return e.Bools[0] },
+				Action: func(e *Env, fx Effector) { fired = append(fired, "first"); e.Bools[0] = false }},
+			{Name: "second", Guard: func(e *Env) bool { return e.Bools[1] },
+				Action: func(e *Env, fx Effector) { fired = append(fired, "second"); e.Bools[1] = false }},
 		},
 	}
 	inst := NewInstance(spec, &nullFx{})
-	inst.RunToQuiescence(10)
+	inst.RunToQuiescence()
 	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
 		t.Errorf("firing order = %v", fired)
 	}
 }
 
 func TestLivelockPanics(t *testing.T) {
+	fired := 0
 	spec := &Spec{
 		Title: "livelock",
 		Rules: []Rule{{
 			Name:   "forever",
 			Guard:  func(e *Env) bool { return true },
-			Action: func(e *Env, fx Effector) {},
+			Action: func(e *Env, fx Effector) { fired++ },
 		}},
 	}
 	inst := NewInstance(spec, &nullFx{})
@@ -116,8 +126,23 @@ func TestLivelockPanics(t *testing.T) {
 		if recover() == nil {
 			t.Error("livelock should panic")
 		}
+		if fired != maxQuiescenceSteps+1 {
+			t.Errorf("panicked after %d firings, want the bound %d plus one", fired, maxQuiescenceSteps)
+		}
 	}()
-	inst.RunToQuiescence(10)
+	inst.RunToQuiescence()
+}
+
+// TestReleasedEnvIsResized recycles an instance into a bigger program:
+// the registers must come back sized by the new Spec and zeroed.
+func TestReleasedEnvIsResized(t *testing.T) {
+	small := &Spec{Ints: 1, Bools: 1, Objs: 1,
+		Init: func(e *Env) { e.Ints[0], e.Bools[0], e.Objs[0] = 7, true, "x" }}
+	NewInstance(small, &nullFx{}).Release()
+	e := NewInstance(&Spec{Ints: 3, Bools: 2, Objs: 2}, &nullFx{}).Env
+	if len(e.Ints) != 3 || len(e.Bools) != 2 || len(e.Objs) != 2 || e.Ints[0] != 0 || e.Bools[0] || e.Objs[0] != nil {
+		t.Fatalf("recycled registers %v %v %v, want zeroed 3/2/2", e.Ints, e.Bools, e.Objs)
+	}
 }
 
 func TestInboxSemantics(t *testing.T) {
@@ -147,23 +172,23 @@ func TestInboxSemantics(t *testing.T) {
 func TestOnMessageDrivesRules(t *testing.T) {
 	spec := &Spec{
 		Title: "echo",
-		Init:  func(e *Env) { e.Ints["got"] = 0 },
+		Ints:  1,
 		Rules: []Rule{{
 			Name:  "recv",
 			Guard: func(e *Env) bool { return e.PeekMsg() != nil },
 			Action: func(e *Env, fx Effector) {
 				e.TakeMsg()
-				e.Ints["got"]++
+				e.Ints[0]++
 				fx.Send(1, 1, nil)
 			},
 		}},
 	}
 	fx := &nullFx{}
 	inst := NewInstance(spec, fx)
-	inst.OnMessage("x", 10)
-	inst.OnMessage("y", 10)
-	if inst.Env.Ints["got"] != 2 || fx.sends != 2 {
-		t.Errorf("got=%d sends=%d", inst.Env.Ints["got"], fx.sends)
+	inst.OnMessage("x")
+	inst.OnMessage("y")
+	if inst.Env.Ints[0] != 2 || fx.sends != 2 {
+		t.Errorf("got=%d sends=%d", inst.Env.Ints[0], fx.sends)
 	}
 }
 

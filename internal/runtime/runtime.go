@@ -270,12 +270,7 @@ func (f *nodeFx) Sense(units int64) {
 	f.charge(f.grid.Index(f.coord), units)
 }
 
-// maxQuiescenceSteps mirrors the machine driver's bound.
-const maxQuiescenceSteps = 1 << 16
-
-// Factory produces the synthesized program for one virtual node; the
-// generic engine runs whatever program set a factory defines.
-type Factory func(c geom.Coord) *program.Spec
+func (f *nodeFx) Coord() geom.Coord { return f.coord }
 
 // GenericResult is the program-agnostic outcome of a concurrent round.
 type GenericResult struct {
@@ -302,10 +297,8 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 	if m.Grid != g {
 		return nil, fmt.Errorf("runtime: map grid and hierarchy grid differ")
 	}
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: h, Coord: c, Sense: synth.SenseFromMap(m, c)})
-	}
-	gr, err := rt.RunProgram(factory, ledger, cfg)
+	spec := synth.LabelingProgram(synth.Config{Hier: h, Sense: synth.SenseFromMap(m)})
+	gr, err := rt.RunProgram(spec, ledger, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -331,9 +324,9 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 	return res, nil
 }
 
-// RunProgram executes one round of an arbitrary synthesized program set
-// with one goroutine per virtual node.
-func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) (*GenericResult, error) {
+// RunProgram executes one round of an arbitrary synthesized program with
+// one goroutine per virtual node.
+func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Config) (*GenericResult, error) {
 	h := rt.hier
 	g := h.Grid
 	if cfg.Loss < 0 || cfg.Loss >= 1 {
@@ -400,7 +393,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		// but never a goroutine: they do no start work, fire no rules, and
 		// their inbox never drains — which is fine, because sends to them
 		// are dropped before enqueueing.
-		insts[idx] = program.NewInstance(factory(c), fx)
+		insts[idx] = program.NewInstance(spec, fx)
 		if r.tracer != nil {
 			inst := insts[idx]
 			inst.SetFireHook(func(rule string) {
@@ -413,7 +406,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		wg.Add(1)
 		go func(inst *program.Instance, inbox chan envelope, idx int) {
 			defer wg.Done()
-			inst.RunToQuiescence(maxQuiescenceSteps)
+			inst.RunToQuiescence()
 			r.pending.Add(-1)
 			for {
 				select {
@@ -421,7 +414,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 					// A node that depleted after the message was enqueued
 					// drops it: the radio is off, the program is gone.
 					if !r.dead(idx) {
-						inst.OnMessage(env.payload, maxQuiescenceSteps)
+						inst.OnMessage(env.payload)
 					}
 					r.pending.Add(-1)
 				case <-r.stop:
@@ -484,13 +477,9 @@ func rootCoverageEnv(rootEnv *program.Env, final *regions.Summary) int {
 	if final != nil {
 		return final.CoveredCells()
 	}
-	subs, ok := rootEnv.Objs[synth.VarSubGraph].([]*regions.Summary)
-	if !ok {
-		return 0
-	}
 	best := 0
-	for _, s := range subs {
-		if s != nil && s.CoveredCells() > best {
+	for _, o := range rootEnv.Objs {
+		if s, ok := o.(*regions.Summary); ok && s.CoveredCells() > best {
 			best = s.CoveredCells()
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
@@ -219,13 +218,9 @@ func TestGenericEngineRunsAlarmProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return m.At(c) }, Quorum: quorum,
-		})
-	}
+	spec := synth.AlarmProgram(synth.AlarmConfig{Hier: h, Hot: m.At, Quorum: quorum})
 	for trial := 0; trial < 5; trial++ {
-		gr, err := New(h).RunProgram(factory, nil, Config{Seed: int64(trial)})
+		gr, err := New(h).RunProgram(spec, nil, Config{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,13 +246,9 @@ func TestAlarmUnderLossNeverFalsePositive(t *testing.T) {
 	m.Bits[g.Index(geom.Coord{Col: 2, Row: 6})] = true
 	h := varch.MustHierarchy(g)
 	const quorum = 3
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return m.At(c) }, Quorum: quorum,
-		})
-	}
+	spec := synth.AlarmProgram(synth.AlarmConfig{Hier: h, Hot: m.At, Quorum: quorum})
 	for trial := 0; trial < 10; trial++ {
-		gr, err := New(h).RunProgram(factory, nil, Config{Loss: 0.3, Seed: int64(trial)})
+		gr, err := New(h).RunProgram(spec, nil, Config{Loss: 0.3, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}

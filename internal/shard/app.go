@@ -32,7 +32,7 @@ type fabric interface {
 	// single one-hop neighbor, charging Tx at the sender; it reports
 	// whether the packet was queued (false: dead sender or loss draw).
 	// key must be unique among all packets that can reach one node at
-	// one instant — the labeling app uses the originating node's id.
+	// one instant — the program host uses the originating node's id.
 	unicast(from, to int, size, key int64, payload any) bool
 	// wakeAfter arms the node's single-shot timer d > 0 units from now;
 	// at most one may be outstanding per node.

@@ -175,9 +175,10 @@ func FuzzMidRunDeath(f *testing.F) {
 
 // TestShardFaultsRaceSmoke is the workload behind the race-shard-faults
 // Makefile target: real worker goroutines, a lossy channel, a crash
-// schedule, and depletion all active at once, for both the flood and
-// labeling apps. Under -race this exercises the shared StreamChannel
-// state, the per-shard banks, and the cross-shard outbox handoff.
+// schedule, and depletion all active at once, for both the flood app
+// and the hosted labeling program. Under -race this exercises the
+// shared StreamChannel state, the per-shard banks, and the cross-shard
+// outbox handoff.
 func TestShardFaultsRaceSmoke(t *testing.T) {
 	nw := testNet(t, 200, 60, 10, 23)
 	cfg := Config{

@@ -8,186 +8,23 @@ import (
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/parallel"
+	"wsnva/internal/program"
 	"wsnva/internal/regions"
-	"wsnva/internal/routing"
 	"wsnva/internal/sim"
+	"wsnva/internal/synth"
 	"wsnva/internal/varch"
 )
 
-// The labeling app is the paper's E1-class workload — the quad-tree
-// homogeneous-region labeling of Figure 4 — ported onto the shard
-// fabric so it runs under any (shards, workers) split. The protocol
-// structure mirrors the synthesized guarded-command program:
-//
-//   - every node senses its cell into a level-0 summary;
-//   - a node that leads up to level k self-merges its summary upward
-//     (the parent is co-located with its NW child), then waits for
-//     exactly 3 external messages at each led level before promoting;
-//   - a node whose leadership tops out below the root sends its merged
-//     summary to the next-level leader — one message per node,
-//     lifetime — forwarded hop by hop over XY routing as unicasts;
-//   - the root exfiltrates after its 3 top-level messages arrive.
-//
-// Determinism across shardings: every message carries the originating
-// node's id as its key (globally unique — one message per origin,
-// ever), hop latencies are the uniform model's TxLatency of the fixed
-// summary size, and wake batches arrive sorted by (From, Key), so
-// leaders merge child summaries in an interleaving-independent order.
-
-// labelMsg is one summary in flight toward a leader. The pointer is
-// handed from hop to hop; only the current holder ever touches it, and
-// the cross-shard handoff happens-before the receiving window.
-type labelMsg struct {
-	origin int        // originating node id == the wire key
-	dst    geom.Coord // target leader
-	level  int        // recursion level the summary merges at
-	size   int64      // Summary.Size() frozen at launch
-	sub    *regions.Summary
-}
-
-// labelShared is the cross-shard SoA state of one labeling run. A
-// node's slots are touched only by its owner shard.
-type labelShared struct {
-	h *varch.Hierarchy
-	m *field.BinaryMap
-
-	// sub[node][level] is the node's accumulated summary per level;
-	// got[node][level] counts external messages merged at that level;
-	// recLevel is the highest completed level; done marks nodes whose
-	// own protocol role is finished (they still forward).
-	sub      [][]*regions.Summary
-	got      [][]int8
-	recLevel []int8
-	done     []bool
-
-	// Root outputs, written only by the root's owner shard.
-	final   *regions.Summary
-	finalAt sim.Time
-}
-
-func newLabelShared(h *varch.Hierarchy, m *field.BinaryMap) *labelShared {
-	n := h.Grid.N()
-	sh := &labelShared{
-		h: h, m: m,
-		sub:      make([][]*regions.Summary, n),
-		got:      make([][]int8, n),
-		recLevel: make([]int8, n),
-		done:     make([]bool, n),
-		finalAt:  -1,
-	}
-	for i := range sh.sub {
-		sh.sub[i] = make([]*regions.Summary, h.Levels+1)
-		sh.got[i] = make([]int8, h.Levels+1)
-	}
-	return sh
-}
-
-func (sh *labelShared) mergeAt(node, level int, s *regions.Summary) {
-	if cur := sh.sub[node][level]; cur != nil {
-		cur.Merge(s)
-		return
-	}
-	sh.sub[node][level] = s
-}
-
-// labelApp is one shard's instance: shared protocol state plus private
-// counters folded after the run.
-type labelApp struct {
-	sh *labelShared
-
-	msgs int64 // summaries launched toward a parent leader
-	hops int64 // unicast hop transmissions attempted
-}
-
-func newLabelApp(sh *labelShared) *labelApp { return &labelApp{sh: sh} }
-
-func (a *labelApp) fold(o *labelApp) {
-	a.msgs += o.msgs
-	a.hops += o.hops
-}
-
-// start senses the node's cell into its level-0 summary and advances:
-// leaders self-merge upward, leaves launch their single message.
-func (a *labelApp) start(f fabric, node int) {
-	sh := a.sh
-	sh.mergeAt(node, 0, regions.Leaf(sh.m, sh.h.Grid.CoordOf(node)))
-	a.advance(f, node)
-}
-
-// wake handles the node's coalesced deliveries: messages addressed
-// elsewhere are forwarded one hop along the XY route; messages for this
-// node merge at their level and may unblock a promotion.
-func (a *labelApp) wake(f fabric, node int, pkts []Packet, timer bool) {
-	_ = timer // the labeling protocol is purely message-driven
-	sh := a.sh
-	me := sh.h.Grid.CoordOf(node)
-	for _, p := range pkts {
-		msg := p.Payload.(*labelMsg)
-		if msg.dst != me {
-			a.forward(f, node, me, msg)
-			continue
-		}
-		sh.mergeAt(node, msg.level, msg.sub)
-		sh.got[node][msg.level]++
-		a.advance(f, node)
-	}
-}
-
-// forward relays msg one XY hop toward its destination leader.
-func (a *labelApp) forward(f fabric, node int, me geom.Coord, msg *labelMsg) {
-	dir, ok := routing.NextHopXY(me, msg.dst)
-	if !ok {
-		panic(fmt.Sprintf("shard: labeling forward at destination %v", me))
-	}
-	next := a.sh.h.Grid.Index(me.Step(dir))
-	a.hops++
-	f.unicast(node, next, msg.size, int64(msg.origin), msg)
-}
-
-// advance runs the node's transmit/promote ladder to a fixpoint: the
-// shard-fabric rendering of the synthesized program's transmit rule
-// gated by the promote rule's "3 external messages per led level".
-func (a *labelApp) advance(f fabric, node int) {
-	sh := a.sh
-	me := sh.h.Grid.CoordOf(node)
-	for !sh.done[node] {
-		level := int(sh.recLevel[node])
-		if level > 0 && sh.got[node][level] != 3 {
-			return // promote guard: waiting on child summaries
-		}
-		if level == sh.h.Levels {
-			// The root's exfiltration: the run's answer.
-			sh.done[node] = true
-			sh.final = sh.sub[node][level]
-			sh.finalAt = f.now()
-			return
-		}
-		parent := sh.h.LeaderAt(me, level+1)
-		sub := sh.sub[node][level]
-		sh.sub[node][level] = nil
-		if parent == me {
-			// Leader of the next level too: contribute the quadrant by a
-			// local merge (Figure 2's co-located parent), no transmission.
-			sh.mergeAt(node, level+1, sub)
-			sh.recLevel[node] = int8(level + 1)
-			continue
-		}
-		sh.done[node] = true
-		msg := &labelMsg{origin: node, dst: parent, level: level + 1, size: sub.Size(), sub: sub}
-		a.msgs++
-		a.hops++
-		f.unicast(node, sh.h.Grid.Index(me.Step(mustNextHop(me, parent))), msg.size, int64(node), msg)
-		return
-	}
-}
-
-func mustNextHop(src, dst geom.Coord) geom.Dir {
-	dir, ok := routing.NextHopXY(src, dst)
-	if !ok {
-		panic(fmt.Sprintf("shard: labeling send to self at %v", src))
-	}
-	return dir
-}
+// The labeling workload is the paper's E1-class application — the
+// quad-tree homogeneous-region labeling of Figure 4 — run on the shard
+// fabric under any (shards, workers) split. The node program is the one
+// internal/synth synthesizes for every other engine, executed by the
+// program host (progHost): each node's summary travels to its
+// next-level leader as one hop-by-hop XY unicast, keyed by the
+// originating node id (globally unique — one message per origin, ever).
+// Hop latencies are the uniform model's TxLatency of the summary size,
+// and wake batches arrive sorted by (From, Key), so leaders merge child
+// summaries in an interleaving-independent order.
 
 // LabelConfig parameterizes a sharded labeling run. The embedded
 // Config supplies the execution strategy (Shards, Workers), the hazard
@@ -315,7 +152,14 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 	}
 	nw := labelDeployment(m.Grid)
 	st := NewState(nw)
-	sh := newLabelShared(h, m)
+	run := &hostRun{h: h, spec: synth.LabelingProgram(synth.Config{Hier: h, Sense: synth.SenseFromMap(m)}),
+		insts: make([]*program.Instance, n), finalAt: -1}
+	defer func() {
+		// The result keeps only summaries, which outlive their instances.
+		for _, inst := range run.insts {
+			inst.Release()
+		}
+	}()
 	traceCap := 0
 	if cfg.Trace {
 		// Every unicast hop emits a Tx plus one Rx-or-Drop; total hops
@@ -324,9 +168,9 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		// one Deplete per node and one Sleep or Wake per churn entry.
 		traceCap = 8*n + len(cfg.Churn) + 64
 	}
-	var apps []*labelApp
+	var apps []*progHost
 	mk := func(int) app {
-		a := newLabelApp(sh)
+		a := &progHost{hostRun: run}
 		apps = append(apps, a)
 		return a
 	}
@@ -341,18 +185,11 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 	if rs.lost > 0 {
 		return nil, fmt.Errorf("shard: trace ring overflowed, %d events lost", rs.lost)
 	}
-	agg := apps[0]
-	for _, a := range apps[1:] {
-		agg.fold(a)
-	}
 	res := &LabelResult{
 		Side:       m.Grid.Cols,
 		Levels:     h.Levels,
-		Final:      sh.final,
-		FinalAt:    sh.finalAt,
+		FinalAt:    run.finalAt,
 		Completion: rs.completion,
-		Msgs:       agg.msgs,
-		Hops:       agg.hops,
 		Sent:       rs.sent,
 		Delivered:  rs.delivered,
 		Dropped:    rs.dropped,
@@ -361,6 +198,11 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		Resumes:    rs.resumes,
 		Energy:     make([]cost.Energy, n),
 		Battery:    st.Battery,
+	}
+	res.Final, _ = run.final.(*regions.Summary)
+	for _, a := range apps {
+		res.Msgs += a.msgs
+		res.Hops += a.hops
 	}
 	for i := range res.Energy {
 		e := rs.ledger.Energy(i)

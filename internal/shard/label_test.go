@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"wsnva/internal/churn"
 	"wsnva/internal/cost"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
@@ -16,11 +18,10 @@ import (
 	"wsnva/internal/varch"
 )
 
-// TestLabelingMatchesSynthDES pins the shard-fabric labeling app to the
-// synthesized guarded-command program running on the virtual
-// architecture: under zero hazards both must exfiltrate value-equal
-// root summaries, and the shard result must agree with the
-// ground-truth sequential labeler.
+// TestLabelingMatchesSynthDES runs the synthesized labeling program on
+// the shard fabric and on the virtual architecture's DES: under zero
+// hazards both must exfiltrate value-equal root summaries, and the
+// shard result must agree with the ground-truth sequential labeler.
 func TestLabelingMatchesSynthDES(t *testing.T) {
 	cases := []struct {
 		side int
@@ -165,5 +166,81 @@ func TestLabelingValidation(t *testing.T) {
 	}
 	if _, err := RunLabeling(m, LabelConfig{Config: Config{Deplete: true}}); err == nil {
 		t.Error("Deplete without Capacity accepted")
+	}
+}
+
+// labelPinConfig arms one hazard class on a side×side labeling run.
+func labelPinConfig(hazard string, side int) Config {
+	cfg := Config{Workers: 2, Trace: true}
+	switch n := side * side; hazard {
+	case "loss":
+		cfg.Loss, cfg.Seed = 0.01, int64(side)
+	case "crash":
+		cfg.Crashes = fault.At(fault.Crash{Node: n/2 + side/2, At: sim.Time(side / 2)},
+			fault.Crash{Node: n/4 + 1, At: sim.Time(side)})
+	case "depletion":
+		cfg.Capacity, cfg.Deplete = 60, true
+	case "churn":
+		cfg.Churn = churn.Poisson(n, 0.5, sim.Time(2*side), int64(side))
+	}
+	return cfg
+}
+
+// TestLabelingPinnedChecksums pins the labeling workload's exact
+// behaviour at scale — every hop, drop, death and charge, through the
+// canonical trace — under each hazard class, at shard counts 1 and 4.
+// The checksums were recorded from the hand-written shard port of
+// Figure 4 that the hosted synthesized program replaced.
+func TestLabelingPinnedChecksums(t *testing.T) {
+	pins := []struct {
+		side   int
+		hazard string
+		sum    uint64
+	}{
+		{16, "none", 0x90b0f12a99396019}, {16, "loss", 0x3e25a67134168dda},
+		{16, "crash", 0xec2a5b9c76775e0f}, {16, "depletion", 0xad4639da454c65e7},
+		{16, "churn", 0xe9794735372f33f1}, {32, "none", 0x1d2839f3091b837f},
+		{32, "loss", 0x3f2f4617cbd1a470}, {32, "crash", 0x4b05435d6ac5b81e},
+		{32, "depletion", 0x10cca6f67fa903ed}, {32, "churn", 0x0dce056f19c282a6},
+		{64, "none", 0xf6136a8c19b155a5}, {64, "loss", 0x94ca8e0e2fbc271b},
+		{64, "crash", 0x86b7514bdc73d26c}, {64, "depletion", 0x4763742de9312743},
+		{64, "churn", 0xda04bdea6257cbda},
+	}
+	for _, pin := range pins {
+		if testing.Short() && pin.side > 16 {
+			continue
+		}
+		m := randomMap(pin.side, rand.New(rand.NewSource(int64(pin.side))))
+		for _, shards := range []int{1, 4} {
+			cfg := labelPinConfig(pin.hazard, pin.side)
+			cfg.Shards = shards
+			res, err := RunLabeling(m, LabelConfig{Config: cfg})
+			if err != nil {
+				t.Fatalf("side %d %s shards=%d: %v", pin.side, pin.hazard, shards, err)
+			}
+			if got := res.Checksum(); got != pin.sum {
+				t.Errorf("side %d %s shards=%d: checksum %#x, pinned %#x", pin.side, pin.hazard, shards, got, pin.sum)
+			}
+		}
+	}
+}
+
+// TestLabelingAllocs guards the hosted program's construction cost: one
+// rule set per run, and per node only the instance and its registers.
+// Two GCs empty the instance pool before each run. A side-16 run makes
+// about 5,950 mallocs (6,350 under -race); the bound leaves about 4 per
+// node of margin, while a per-node Spec with closures costs 13 per node.
+func TestLabelingAllocs(t *testing.T) {
+	const labelAllocBound = 7000
+	m := randomMap(16, rand.New(rand.NewSource(16)))
+	allocs := testing.AllocsPerRun(5, func() {
+		runtime.GC()
+		runtime.GC()
+		if _, err := RunLabeling(m, LabelConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > labelAllocBound {
+		t.Errorf("side-16 labeling run made %.0f mallocs, bound %d", allocs, labelAllocBound)
 	}
 }

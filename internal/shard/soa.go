@@ -122,8 +122,9 @@ func (st *State) Deaths() int {
 
 // Packet is one delivered message as the app sees it: the sender, the
 // size in cost-model data units, the protocol key (the dissemination
-// app stores the flood index; the labeling app a globally unique message
-// id), and an optional protocol payload carried by unicasts. Within one
+// app stores the flood index; the program host the originating node's
+// id, globally unique per message), and an optional protocol payload
+// carried by unicasts. Within one
 // wake batch the (From, Key) pair is unique — a node transmits a given
 // key at most once per instant — which is what lets the batch be sorted
 // into a canonical order independent of delivery interleaving.

@@ -32,12 +32,11 @@ type AlarmMsg struct {
 // alarmMsgSize is the cost-model size of one alarm delta: count + box.
 const alarmMsgSize = 3
 
-// AlarmConfig parameterizes the synthesized alarm program for one node.
+// AlarmConfig parameterizes the synthesized alarm program.
 type AlarmConfig struct {
-	Hier  *varch.Hierarchy
-	Coord geom.Coord
-	// Hot reports whether this node's reading crosses the alarm threshold.
-	Hot func() bool
+	Hier *varch.Hierarchy
+	// Hot reports whether the reading at c crosses the alarm threshold.
+	Hot func(c geom.Coord) bool
 	// Quorum is the number of alarmed cells at which the root raises the
 	// network-wide alarm.
 	Quorum int
@@ -48,13 +47,14 @@ type AlarmConfig struct {
 // state.
 type EvacMsg struct{}
 
-// Alarm program state variable names.
+// Register slots of the alarm program (bool slot VarStart included).
 const (
-	VarAlarmTotal  = "alarmTotal"  // per-level alarm counts (the root's top slot is global)
-	VarAlarmBox    = "alarmBox"    // bounding boxes per level
-	VarAlarmRaised = "alarmRaised" // root-only: quorum reached
-	VarEvacuating  = "evacuating"  // evacuation order received
-	VarOutbox      = "outbox"      // deltas awaiting transmission
+	VarAlarmRaised = 1 // bool, root-only: quorum reached
+	VarEvacuating  = 2 // bool: evacuation order received
+
+	VarAlarmTotal = 0 // obj: per-level alarm counts (the root's top slot is global)
+	VarAlarmBox   = 1 // obj: bounding boxes per level
+	alarmOutbox   = 2 // obj: deltas awaiting transmission
 )
 
 // outItem is a queued delta with its next merge level.
@@ -62,23 +62,23 @@ type outItem struct {
 	msg AlarmMsg
 }
 
-// AlarmProgram synthesizes the event-driven alarm program for one node.
+// AlarmProgram synthesizes the event-driven alarm program; like the
+// labeling program, one Spec serves every node.
 func AlarmProgram(cfg AlarmConfig) *program.Spec {
 	h := cfg.Hier
-	me := cfg.Coord
 	maxLevel := h.Levels
 	if cfg.Quorum < 1 {
 		panic(fmt.Sprintf("synth: quorum %d must be positive", cfg.Quorum))
 	}
 	spec := &program.Spec{
-		Title: fmt.Sprintf("alarm@%v", me),
+		Title: "alarm",
+		Bools: 3,
+		Objs:  3,
 		Init: func(e *program.Env) {
 			e.Bools[VarStart] = true
-			e.Bools[VarAlarmRaised] = false
-			e.Bools[VarEvacuating] = false
 			e.Objs[VarAlarmTotal] = make([]int64, maxLevel+1)
 			e.Objs[VarAlarmBox] = make([]regions.BBox, maxLevel+1)
-			e.Objs[VarOutbox] = []outItem(nil)
+			e.Objs[alarmOutbox] = []outItem(nil)
 		},
 	}
 	totals := func(e *program.Env) []int64 { return e.Objs[VarAlarmTotal].([]int64) }
@@ -97,7 +97,7 @@ func AlarmProgram(cfg AlarmConfig) *program.Spec {
 		t[msg.Level] += int64(msg.Count)
 		if msg.Level < maxLevel {
 			up := AlarmMsg{Count: msg.Count, Box: msg.Box, Level: msg.Level + 1}
-			e.Objs[VarOutbox] = append(e.Objs[VarOutbox].([]outItem), outItem{msg: up})
+			e.Objs[alarmOutbox] = append(e.Objs[alarmOutbox].([]outItem), outItem{msg: up})
 		}
 	}
 
@@ -110,7 +110,8 @@ func AlarmProgram(cfg AlarmConfig) *program.Spec {
 			Action: func(e *program.Env, fx program.Effector) {
 				e.Bools[VarStart] = false
 				fx.Sense(1)
-				if !cfg.Hot() {
+				me := fx.Coord()
+				if !cfg.Hot(me) {
 					return
 				}
 				fx.Compute(1)
@@ -150,12 +151,12 @@ func AlarmProgram(cfg AlarmConfig) *program.Spec {
 			Condition: "outbox not empty",
 			Effect: "pop delta; if myCoords = Leader(level) merge locally\n" +
 				"else send delta to Leader(level)",
-			Guard: func(e *program.Env) bool { return len(e.Objs[VarOutbox].([]outItem)) > 0 },
+			Guard: func(e *program.Env) bool { return len(e.Objs[alarmOutbox].([]outItem)) > 0 },
 			Action: func(e *program.Env, fx program.Effector) {
-				box := e.Objs[VarOutbox].([]outItem)
+				box := e.Objs[alarmOutbox].([]outItem)
 				item := box[0]
-				e.Objs[VarOutbox] = box[1:]
-				if h.LeaderAt(me, item.msg.Level) == me {
+				e.Objs[alarmOutbox] = box[1:]
+				if me := fx.Coord(); h.LeaderAt(me, item.msg.Level) == me {
 					// This node leads the next level too: fold locally.
 					mergeDelta(e, item.msg)
 					return
@@ -222,23 +223,17 @@ func RunAlarmOnMachine(vm *varch.Machine, hot *field.BinaryMap, quorum int) (*Al
 	res := &AlarmResult{}
 	insts := make([]*program.Instance, h.Grid.N())
 	rootIdx := h.Grid.Index(h.Root())
+	spec := AlarmProgram(AlarmConfig{Hier: h, Hot: hot.At, Quorum: quorum})
 	for _, c := range h.Grid.Coords() {
-		c := c
 		fx := &alarmFx{vm: vm, coord: c, out: res}
-		spec := AlarmProgram(AlarmConfig{
-			Hier:   h,
-			Coord:  c,
-			Hot:    func() bool { return hot.At(c) },
-			Quorum: quorum,
-		})
 		inst := program.NewInstance(spec, fx)
 		insts[h.Grid.Index(c)] = inst
 		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
+			inst.OnMessage(msg.Payload)
 		})
 	}
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 	vm.Kernel().Run()
 	for _, inst := range insts {
@@ -271,3 +266,4 @@ func (f *alarmFx) Exfiltrate(result any) {
 
 func (f *alarmFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
 func (f *alarmFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
+func (f *alarmFx) Coord() geom.Coord   { return f.coord }

@@ -117,6 +117,7 @@ func (f *faultFx) Exfiltrate(result any) {
 
 func (f *faultFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
 func (f *faultFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
+func (f *faultFx) Coord() geom.Coord   { return f.coord }
 
 // RunWithFaults executes one labeling round on vm under cfg's fault load
 // and returns the (possibly partial) outcome. The round is byte-
@@ -141,15 +142,15 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 
 	res := &FaultResult{Crashed: len(cfg.Schedule)}
 	insts := make([]*program.Instance, g.N())
+	spec := LabelingProgram(Config{Hier: h, Sense: SenseFromMap(m)})
 	for _, c := range g.Coords() {
 		c := c
 		fx := &faultFx{vm: vm, coord: c, out: res}
-		spec := LabelingProgram(Config{Hier: h, Coord: c, Sense: SenseFromMap(m, c)})
 		inst := program.NewInstance(spec, fx)
 		wireTraceHooks(vm, inst, c)
 		insts[g.Index(c)] = inst
 		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
+			inst.OnMessage(msg.Payload)
 		})
 	}
 
@@ -187,7 +188,7 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 
 	phase(vm, "fault-labeling:start")
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 	vm.Kernel().Run()
 	phase(vm, "fault-labeling:end")
@@ -230,24 +231,16 @@ func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []*program.Instan
 	if int(env.Ints[VarRecLevel]) > k {
 		return // the block finished level k naturally
 	}
-	sg := env.Objs[VarSubGraph].([]*regions.Summary)
 	for j := 0; j < k; j++ {
-		if sg[j] == nil {
-			continue
+		if sub := takeSubGraph(env, j); sub != nil {
+			mergeAt(env, k, sub)
 		}
-		if sg[k] == nil {
-			sg[k] = sg[j]
-		} else {
-			sg[k].Merge(sg[j])
-		}
-		sg[j] = nil
 	}
-	if sg[k] == nil {
+	if subGraph(env, k) == nil {
 		return // nothing reached this block's level; nothing to ship
 	}
-	mr := env.Objs[VarMsgsRecv].([]int64)
 	for j := 0; j <= k; j++ {
-		mr[j] = -1 // disarm the quorum rule at and below the deadline level
+		env.Ints[VarMsgsRecv+j] = -1 // disarm the quorum rule at and below the deadline level
 	}
 	env.Ints[VarRecLevel] = int64(k)
 	env.Bools[VarDone] = false
@@ -261,5 +254,5 @@ func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []*program.Instan
 	if acting != leader {
 		res.LeaderFailovers++
 	}
-	inst.RunToQuiescence(maxQuiescenceSteps)
+	inst.RunToQuiescence()
 }

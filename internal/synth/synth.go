@@ -34,60 +34,66 @@ type GraphMsg struct {
 	Level  int
 }
 
-// Config parameterizes the synthesized program for one node.
+// Config parameterizes the synthesized labeling program.
 type Config struct {
-	Hier  *varch.Hierarchy
-	Coord geom.Coord
-	// Sense produces the node's level-0 boundary summary from the sensing
-	// interface ("compute mySubGraph from intra-cell readings").
-	Sense func() *regions.Summary
+	Hier *varch.Hierarchy
+	// Sense produces the level-0 boundary summary of the cell at c from
+	// the sensing interface ("compute mySubGraph from intra-cell readings").
+	Sense func(c geom.Coord) *regions.Summary
 }
 
-// State variable names used by the synthesized program. Exported so tests
-// and tools can inspect node state symbolically.
+// Register slots of the labeling program, named after Figure 4's state
+// variables. Exported so tests and tools can inspect node state
+// symbolically. VarStart is bool slot 0 in every synthesized program.
+// The per-level arrays occupy one slot per level 0..maxrecLevel, so a
+// program instance allocates nothing beyond its registers.
 const (
-	VarStart    = "start"
-	VarTransmit = "transmit"
-	VarDone     = "done"
-	VarRecLevel = "recLevel"
-	VarMaxLevel = "maxrecLevel"
-	VarSubGraph = "mySubGraph"
-	VarMsgsRecv = "msgsReceived"
+	VarStart    = 0 // bool
+	VarTransmit = 1 // bool
+	VarDone     = 2 // bool
+
+	VarRecLevel = 0 // int
+	VarMsgsRecv = 1 // int, first of maxrecLevel+1: external messages merged per level
+
+	VarSubGraph = 0 // obj, first of maxrecLevel+1: the *regions.Summary held per level
 )
 
-// LabelingProgram synthesizes the homogeneous-region labeling program for
-// the node at cfg.Coord. The returned Spec is self-contained: it reads and
-// writes only its Env and the Effector.
+// subGraph returns a labeling node's level summary, nil if none.
+func subGraph(e *program.Env, level int) *regions.Summary {
+	s, _ := e.Objs[VarSubGraph+level].(*regions.Summary)
+	return s
+}
+
+// mergeAt folds sub into the node's level summary.
+func mergeAt(e *program.Env, level int, sub *regions.Summary) {
+	if cur := subGraph(e, level); cur != nil {
+		cur.Merge(sub)
+		return
+	}
+	e.Objs[VarSubGraph+level] = sub
+}
+
+// takeSubGraph removes and returns the node's level summary.
+func takeSubGraph(e *program.Env, level int) *regions.Summary {
+	s := subGraph(e, level)
+	e.Objs[VarSubGraph+level] = nil
+	return s
+}
+
+// LabelingProgram synthesizes the homogeneous-region labeling program.
+// One Spec serves every node of the grid: each instance reads its own
+// coordinate from its Effector, so a run builds the rule set once. The
+// returned Spec is self-contained: it reads and writes only its Env and
+// the Effector.
 func LabelingProgram(cfg Config) *program.Spec {
 	h := cfg.Hier
-	me := cfg.Coord
 	maxLevel := h.Levels
 	spec := &program.Spec{
-		Title: fmt.Sprintf("label-regions@%v", me),
-		Init: func(e *program.Env) {
-			e.Bools[VarStart] = true
-			e.Bools[VarTransmit] = false
-			e.Bools[VarDone] = false
-			e.Ints[VarRecLevel] = 0
-			e.Ints[VarMaxLevel] = int64(maxLevel)
-			e.Objs[VarSubGraph] = make([]*regions.Summary, maxLevel+1)
-			e.Objs[VarMsgsRecv] = make([]int64, maxLevel+1)
-		},
-	}
-
-	subGraph := func(e *program.Env) []*regions.Summary {
-		return e.Objs[VarSubGraph].([]*regions.Summary)
-	}
-	msgsRecv := func(e *program.Env) []int64 {
-		return e.Objs[VarMsgsRecv].([]int64)
-	}
-	mergeAt := func(e *program.Env, level int, sub *regions.Summary) {
-		sg := subGraph(e)
-		if sg[level] == nil {
-			sg[level] = sub
-		} else {
-			sg[level].Merge(sub)
-		}
+		Title: "label-regions",
+		Ints:  VarMsgsRecv + maxLevel + 1,
+		Bools: 3,
+		Objs:  VarSubGraph + maxLevel + 1,
+		Init:  func(e *program.Env) { e.Bools[VarStart] = true },
 	}
 
 	spec.Rules = []program.Rule{
@@ -100,7 +106,7 @@ func LabelingProgram(cfg Config) *program.Spec {
 			Action: func(e *program.Env, fx program.Effector) {
 				e.Bools[VarStart] = false
 				fx.Sense(1)
-				sub := cfg.Sense()
+				sub := cfg.Sense(fx.Coord())
 				fx.Compute(1)
 				mergeAt(e, 0, sub)
 				e.Bools[VarTransmit] = true
@@ -115,7 +121,7 @@ func LabelingProgram(cfg Config) *program.Spec {
 				msg := e.TakeMsg().(GraphMsg)
 				fx.Compute(msg.Sub.Size())
 				mergeAt(e, msg.Level, msg.Sub)
-				msgsRecv(e)[msg.Level]++
+				e.Ints[VarMsgsRecv+msg.Level]++
 			},
 		},
 		{
@@ -130,22 +136,19 @@ func LabelingProgram(cfg Config) *program.Spec {
 			Action: func(e *program.Env, fx program.Effector) {
 				e.Bools[VarTransmit] = false
 				level := int(e.Ints[VarRecLevel])
-				sg := subGraph(e)
+				me := fx.Coord()
 				switch {
 				case level == maxLevel:
 					e.Bools[VarDone] = true
-					fx.Exfiltrate(sg[level])
+					fx.Exfiltrate(subGraph(e, level))
 				case h.LeaderAt(me, level+1) == me:
 					// The self-message of Figure 2's mapping: the parent is
 					// co-located with its NW child, so the contribution is a
 					// local merge, not a transmission.
-					sub := sg[level]
-					sg[level] = nil
-					mergeAt(e, level+1, sub)
+					mergeAt(e, level+1, takeSubGraph(e, level))
 					e.Ints[VarRecLevel] = int64(level + 1)
 				default:
-					sub := sg[level]
-					sg[level] = nil
+					sub := takeSubGraph(e, level)
 					fx.Send(level+1, sub.Size(), GraphMsg{Sender: me, Sub: sub, Level: level + 1})
 					e.Bools[VarDone] = true
 				}
@@ -163,11 +166,11 @@ func LabelingProgram(cfg Config) *program.Spec {
 				if level == 0 || level > maxLevel {
 					return false
 				}
-				return msgsRecv(e)[level] == 3
+				return e.Ints[VarMsgsRecv+level] == 3
 			},
 			Action: func(e *program.Env, fx program.Effector) {
 				// Consume the count so the guard cannot refire at this level.
-				msgsRecv(e)[int(e.Ints[VarRecLevel])] = -1
+				e.Ints[VarMsgsRecv+int(e.Ints[VarRecLevel])] = -1
 				e.Bools[VarTransmit] = true
 			},
 		},
@@ -175,10 +178,10 @@ func LabelingProgram(cfg Config) *program.Spec {
 	return spec
 }
 
-// SenseFromMap returns a Sense function reading the node's cell from a
+// SenseFromMap returns a Sense function reading a node's cell from a
 // binary feature map — the simulated sensing interface.
-func SenseFromMap(m *field.BinaryMap, c geom.Coord) func() *regions.Summary {
-	return func() *regions.Summary { return regions.Leaf(m, c) }
+func SenseFromMap(m *field.BinaryMap) func(c geom.Coord) *regions.Summary {
+	return func(c geom.Coord) *regions.Summary { return regions.Leaf(m, c) }
 }
 
 // Result is the outcome of one execution round of the synthesized
@@ -213,6 +216,7 @@ func (f *machineFx) Exfiltrate(result any) {
 
 func (f *machineFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
 func (f *machineFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
+func (f *machineFx) Coord() geom.Coord   { return f.coord }
 
 // emitExfiltrate records the out-of-network delivery when tracing is on.
 func emitExfiltrate(vm *varch.Machine, c geom.Coord) {
@@ -249,10 +253,6 @@ func wireTraceHooks(vm *varch.Machine, inst *program.Instance, c geom.Coord) {
 	})
 }
 
-// maxQuiescenceSteps bounds rule firings per activation; a correct program
-// fires O(levels) rules per event.
-const maxQuiescenceSteps = 1 << 16
-
 // Transport optionally transforms every GraphMsg between transmission and
 // delivery — the hook integration tests use to force each message through
 // the binary wire codec, proving the serialized form carries the protocol.
@@ -273,13 +273,13 @@ func RunOnMachineWithTransport(vm *varch.Machine, m *field.BinaryMap, transport 
 	if m.Grid != vm.Grid() {
 		return nil, fmt.Errorf("synth: map grid and machine grid differ")
 	}
-	res := &Result{}
+	spec := LabelingProgram(Config{Hier: h, Sense: SenseFromMap(m)})
+	res := &Result{RuleCoverage: make([]int64, len(spec.Rules))}
 	var transportErr error
 	insts := make([]*program.Instance, h.Grid.N())
 	for _, c := range h.Grid.Coords() {
 		c := c
 		fx := &machineFx{vm: vm, coord: c, out: res}
-		spec := LabelingProgram(Config{Hier: h, Coord: c, Sense: SenseFromMap(m, c)})
 		inst := program.NewInstance(spec, fx)
 		wireTraceHooks(vm, inst, c)
 		insts[h.Grid.Index(c)] = inst
@@ -295,22 +295,19 @@ func RunOnMachineWithTransport(vm *varch.Machine, m *field.BinaryMap, transport 
 				}
 				payload = gm
 			}
-			inst.OnMessage(payload, maxQuiescenceSteps)
+			inst.OnMessage(payload)
 		})
 	}
 	// Start every node at t=0; rule firings schedule the message traffic.
 	phase(vm, "labeling:start")
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 	vm.Kernel().Run()
 	phase(vm, "labeling:end")
 	for _, inst := range insts {
 		res.RuleFirings += inst.Fired()
 		for i, n := range inst.FiredByRule() {
-			for len(res.RuleCoverage) <= i {
-				res.RuleCoverage = append(res.RuleCoverage, 0)
-			}
 			res.RuleCoverage[i] += n
 		}
 		// The result only holds summaries (which survive a Release), never

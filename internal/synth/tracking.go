@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"fmt"
-
 	"wsnva/internal/geom"
 	"wsnva/internal/program"
 	"wsnva/internal/varch"
@@ -27,36 +25,38 @@ type TrackReport struct {
 // trackMsgSize is the cost-model size of one report: three moments.
 const trackMsgSize = 3
 
-// TrackingConfig parameterizes the synthesized tracking program for one
-// node.
+// TrackingConfig parameterizes the synthesized tracking program.
 type TrackingConfig struct {
-	Hier  *varch.Hierarchy
-	Coord geom.Coord
-	// Strength returns the node's detection strength in [0,1]; zero means
+	Hier *varch.Hierarchy
+	// Strength returns the detection strength at c in [0,1]; zero means
 	// no detection and no traffic.
-	Strength func() float64
+	Strength func(c geom.Coord) float64
 }
 
-// Tracking program state variable names.
+// Register slots of the tracking program (bool slot VarStart included):
+// the per-level centroid moments and the reports awaiting transmission.
 const (
-	VarTrackWX = "trackWX"
-	VarTrackWY = "trackWY"
-	VarTrackW  = "trackW"
+	VarTrackWX  = 0 // obj
+	VarTrackWY  = 1 // obj
+	VarTrackW   = 2 // obj
+	trackOutbox = 3 // obj
 )
 
-// TrackingProgram synthesizes the per-node tracking program.
+// TrackingProgram synthesizes the tracking program; one Spec serves
+// every node.
 func TrackingProgram(cfg TrackingConfig) *program.Spec {
 	h := cfg.Hier
-	me := cfg.Coord
 	maxLevel := h.Levels
 	spec := &program.Spec{
-		Title: fmt.Sprintf("track@%v", me),
+		Title: "track",
+		Bools: 1,
+		Objs:  4,
 		Init: func(e *program.Env) {
 			e.Bools[VarStart] = true
 			e.Objs[VarTrackWX] = make([]int64, maxLevel+1)
 			e.Objs[VarTrackWY] = make([]int64, maxLevel+1)
 			e.Objs[VarTrackW] = make([]int64, maxLevel+1)
-			e.Objs[VarOutbox] = []TrackReport(nil)
+			e.Objs[trackOutbox] = []TrackReport(nil)
 		},
 	}
 	moments := func(e *program.Env) (wx, wy, w []int64) {
@@ -70,7 +70,7 @@ func TrackingProgram(cfg TrackingConfig) *program.Spec {
 		if r.Level < maxLevel {
 			up := r
 			up.Level = r.Level + 1
-			e.Objs[VarOutbox] = append(e.Objs[VarOutbox].([]TrackReport), up)
+			e.Objs[trackOutbox] = append(e.Objs[trackOutbox].([]TrackReport), up)
 		}
 	}
 
@@ -83,7 +83,8 @@ func TrackingProgram(cfg TrackingConfig) *program.Spec {
 			Action: func(e *program.Env, fx program.Effector) {
 				e.Bools[VarStart] = false
 				fx.Sense(1)
-				s := cfg.Strength()
+				me := fx.Coord()
+				s := cfg.Strength(me)
 				if s <= 0 {
 					return
 				}
@@ -115,12 +116,12 @@ func TrackingProgram(cfg TrackingConfig) *program.Spec {
 			Name:      "forward",
 			Condition: "outbox not empty",
 			Effect:    "pop report; local merge if I lead its level, else send",
-			Guard:     func(e *program.Env) bool { return len(e.Objs[VarOutbox].([]TrackReport)) > 0 },
+			Guard:     func(e *program.Env) bool { return len(e.Objs[trackOutbox].([]TrackReport)) > 0 },
 			Action: func(e *program.Env, fx program.Effector) {
-				box := e.Objs[VarOutbox].([]TrackReport)
+				box := e.Objs[trackOutbox].([]TrackReport)
 				r := box[0]
-				e.Objs[VarOutbox] = box[1:]
-				if h.LeaderAt(me, r.Level) == me {
+				e.Objs[trackOutbox] = box[1:]
+				if me := fx.Coord(); h.LeaderAt(me, r.Level) == me {
 					merge(e, r)
 					return
 				}
@@ -148,24 +149,20 @@ func RunTrackingEpoch(vm *varch.Machine, strength func(c geom.Coord) float64) (*
 	g := h.Grid
 	insts := make([]*program.Instance, g.N())
 	detectors := 0
+	spec := TrackingProgram(TrackingConfig{Hier: h, Strength: strength})
 	for _, c := range g.Coords() {
-		c := c
 		fx := &trackFx{vm: vm, coord: c}
-		s := strength(c)
-		if s > 0 {
+		if strength(c) > 0 {
 			detectors++
 		}
-		spec := TrackingProgram(TrackingConfig{
-			Hier: h, Coord: c, Strength: func() float64 { return s },
-		})
 		inst := program.NewInstance(spec, fx)
 		insts[g.Index(c)] = inst
 		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
+			inst.OnMessage(msg.Payload)
 		})
 	}
 	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+		inst.RunToQuiescence()
 	}
 	vm.Kernel().Run()
 
@@ -204,3 +201,4 @@ func (f *trackFx) Send(level int, size int64, payload any) {
 func (f *trackFx) Exfiltrate(any)      {}
 func (f *trackFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
 func (f *trackFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
+func (f *trackFx) Coord() geom.Coord   { return f.coord }
