@@ -97,6 +97,10 @@ func main() {
 	if !geom.IsPow2(*side) {
 		log.Fatalf("wsnsim: -side must be a power of two, got %d", *side)
 	}
+	mkField, err := field.Named(*fieldName)
+	if err != nil {
+		log.Fatalf("wsnsim: %v", err)
+	}
 
 	grid := geom.NewSquareGrid(*side, float64(*side)*10)
 	rng := rand.New(rand.NewSource(*seed))
@@ -161,7 +165,7 @@ func main() {
 	}
 
 	// Application layer: sense, threshold, label.
-	phen := makeField(*fieldName, grid, *seed)
+	phen := mkField(grid.Terrain, *seed)
 	m := field.Threshold(phen, grid, *thresh, 0)
 	fmt.Printf("\nphenomenon %q thresholded at %.2f -> %d feature cells:\n%s\n",
 		phen.Name(), *thresh, m.Count(), m)
@@ -428,21 +432,4 @@ func exportTrace(path string, tr *trace.Tracer) {
 	}
 	fmt.Printf("\ntrace: %d events exported to %s (%d lost to the ring)\n",
 		len(tr.Events()), path, tr.Lost())
-}
-
-func makeField(name string, grid *geom.Grid, seed int64) field.Field {
-	switch name {
-	case "blobs":
-		return field.RandomBlobs(4, grid.Terrain,
-			grid.Terrain.Width()/10, grid.Terrain.Width()/6, rand.New(rand.NewSource(seed+2)))
-	case "gradient":
-		return field.Gradient{DX: 1.0 / grid.Terrain.Width() * 2}
-	case "stripes":
-		return field.Stripes{Width: grid.Terrain.Width() / 4, High: 1}
-	case "solid":
-		return field.Constant{Value: 1}
-	default:
-		log.Fatalf("wsnsim: unknown field %q", name)
-		return nil
-	}
 }

@@ -70,10 +70,3 @@ func Run(ledger *cost.Ledger, m *field.BinaryMap, sink geom.Coord) (*regions.Lab
 	st.Balance = met.Balance
 	return regions.Label(m), st
 }
-
-// CenterSink returns the cell nearest the terrain center — the sink
-// placement that minimizes the worst route and halves the corner sink's
-// eccentricity; the E3 sweep reports both placements.
-func CenterSink(g *geom.Grid) geom.Coord {
-	return geom.Coord{Col: g.Cols / 2, Row: g.Rows / 2}
-}

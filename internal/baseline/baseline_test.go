@@ -67,7 +67,7 @@ func TestCenterSinkCheaperThanCorner(t *testing.T) {
 	lc := cost.NewLedger(cost.NewUniform(), g.N())
 	_, corner := Run(lc, m, geom.Coord{})
 	lm := cost.NewLedger(cost.NewUniform(), g.N())
-	_, center := Run(lm, m, CenterSink(g))
+	_, center := Run(lm, m, geom.Coord{Col: g.Cols / 2, Row: g.Rows / 2})
 	if center.TotalEnergy >= corner.TotalEnergy {
 		t.Errorf("center sink energy %d should beat corner %d", center.TotalEnergy, corner.TotalEnergy)
 	}

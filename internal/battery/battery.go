@@ -25,13 +25,11 @@
 //     ledger never moves again for that node — the dead-nodes-are-never-
 //     charged invariant the property tests pin.
 //
-// Everything is deterministic: capacities are fixed or seed-derived, and
-// depletion order is a pure function of the charge sequence.
+// Everything is deterministic: capacities are fixed, and depletion order is a pure function of the charge sequence.
 package battery
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 
 	"wsnva/internal/cost"
@@ -91,45 +89,10 @@ func Uniform(n int, capacity cost.Energy) *Bank {
 	for i := range caps {
 		caps[i] = capacity
 	}
-	return fromCaps(caps)
-}
-
-// Heterogeneous returns a bank with per-node capacities drawn uniformly
-// from [lo, hi], seed-derived — the mixed-provisioning deployments the WSN
-// literature studies, deterministic per seed.
-func Heterogeneous(n int, lo, hi cost.Energy, seed int64) *Bank {
-	if n <= 0 {
-		panic(fmt.Sprintf("battery: bank needs positive node count, got %d", n))
-	}
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("battery: bad capacity range [%d, %d]", lo, hi))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	caps := make([]cost.Energy, n)
-	for i := range caps {
-		caps[i] = lo + cost.Energy(rng.Int63n(int64(hi-lo)+1))
-	}
-	return fromCaps(caps)
-}
-
-// FromCapacities returns a bank over an explicit capacity vector.
-func FromCapacities(caps []cost.Energy) *Bank {
-	if len(caps) == 0 {
-		panic("battery: empty capacity vector")
-	}
-	for i, c := range caps {
-		if c < 0 {
-			panic(fmt.Sprintf("battery: negative capacity %d for node %d", c, i))
-		}
-	}
-	return fromCaps(append([]cost.Energy(nil), caps...))
-}
-
-func fromCaps(caps []cost.Energy) *Bank {
 	return &Bank{
 		capacity: caps,
-		drained:  make([]cost.Energy, len(caps)),
-		dead:     make([]bool, len(caps)),
+		drained:  make([]cost.Energy, n),
+		dead:     make([]bool, n),
 	}
 }
 
@@ -207,21 +170,10 @@ func (b *Bank) Absorb(node int, _ cost.Op, e cost.Energy) bool {
 // N returns the number of nodes the bank tracks.
 func (b *Bank) N() int { return len(b.capacity) }
 
-// Capacity returns node's budget.
-func (b *Bank) Capacity(node int) cost.Energy { return b.capacity[node] }
-
 // Drained returns node's cumulative granted charge. For a depleted node it
 // is frozen at the value that killed it (capacity plus the dying gasp's
 // overshoot).
 func (b *Bank) Drained(node int) cost.Energy { return b.drained[node] }
-
-// Residual returns node's remaining budget (never negative).
-func (b *Bank) Residual(node int) cost.Energy {
-	if r := b.capacity[node] - b.drained[node]; r > 0 {
-		return r
-	}
-	return 0
-}
 
 // Depleted reports whether node's battery is exhausted.
 func (b *Bank) Depleted(node int) bool { return b.dead[node] }

@@ -6,51 +6,21 @@ import (
 	"wsnva/internal/cost"
 )
 
-// TestConstructors covers the three bank builders and their rejection
-// edges.
+// TestConstructors covers the bank builder and its rejection edges.
 func TestConstructors(t *testing.T) {
 	b := Uniform(4, 100)
 	if b.N() != 4 {
 		t.Fatalf("N = %d, want 4", b.N())
 	}
 	for i := 0; i < 4; i++ {
-		if b.Capacity(i) != 100 || b.Drained(i) != 0 || b.Residual(i) != 100 || b.Depleted(i) {
+		if b.capacity[i] != 100 || b.Drained(i) != 0 || b.Depleted(i) {
 			t.Errorf("node %d: fresh bank in wrong state", i)
 		}
 	}
 
-	h1 := Heterogeneous(32, 50, 150, 7)
-	h2 := Heterogeneous(32, 50, 150, 7)
-	varied := false
-	for i := 0; i < 32; i++ {
-		c := h1.Capacity(i)
-		if c < 50 || c > 150 {
-			t.Errorf("node %d capacity %d outside [50, 150]", i, c)
-		}
-		if c != h2.Capacity(i) {
-			t.Errorf("node %d: same seed gave %d vs %d", i, c, h2.Capacity(i))
-		}
-		if c != h1.Capacity(0) {
-			varied = true
-		}
-	}
-	if !varied {
-		t.Error("heterogeneous capacities all identical")
-	}
-
-	caps := []cost.Energy{10, 20, 30}
-	f := FromCapacities(caps)
-	caps[1] = 999 // the bank must hold its own copy
-	if f.Capacity(1) != 20 {
-		t.Errorf("FromCapacities aliased the caller's slice")
-	}
-
 	for name, fn := range map[string]func(){
-		"zero n":             func() { Uniform(0, 10) },
-		"negative capacity":  func() { Uniform(3, -1) },
-		"bad range":          func() { Heterogeneous(3, 100, 50, 1) },
-		"empty vector":       func() { FromCapacities(nil) },
-		"negative in vector": func() { FromCapacities([]cost.Energy{5, -2}) },
+		"zero n":            func() { Uniform(0, 10) },
+		"negative capacity": func() { Uniform(3, -1) },
 	} {
 		func() {
 			defer func() {
@@ -85,9 +55,6 @@ func TestDyingGasp(t *testing.T) {
 	}
 	if b.Drained(0) != 107 {
 		t.Errorf("drain %d, want 107 (capacity plus overshoot)", b.Drained(0))
-	}
-	if b.Residual(0) != 0 {
-		t.Errorf("residual %d for a depleted node, want 0", b.Residual(0))
 	}
 
 	if b.Absorb(0, cost.Rx, 1) {

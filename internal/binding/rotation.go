@@ -145,9 +145,6 @@ func (r *Rotator) RotateResidual(alive func(id int) bool) []geom.Coord {
 	return changed
 }
 
-// Rounds returns how many rotations have run.
-func (r *Rotator) Rounds() int { return r.rounds }
-
 // DistinctLeaders returns how many distinct nodes have ever held a
 // leadership role.
 func (r *Rotator) DistinctLeaders() int { return len(r.ledCount) }

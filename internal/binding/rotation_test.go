@@ -36,8 +36,8 @@ func TestRotatorSpreadsLeadership(t *testing.T) {
 			}
 		}
 	}
-	if r.Rounds() != 5 {
-		t.Errorf("rounds = %d", r.Rounds())
+	if r.rounds != 5 {
+		t.Errorf("rounds = %d", r.rounds)
 	}
 	if r.DistinctLeaders() <= initialDistinct {
 		t.Errorf("rotation did not spread leadership: %d -> %d", initialDistinct, r.DistinctLeaders())

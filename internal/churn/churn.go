@@ -132,18 +132,6 @@ func (s Schedule) Batches() []Batch {
 	return out
 }
 
-// Horizon returns the time of the last event, or 0 for an empty
-// schedule.
-func (s Schedule) Horizon() sim.Time {
-	var h sim.Time
-	for _, e := range s {
-		if e.At > h {
-			h = e.At
-		}
-	}
-	return h
-}
-
 // Merge combines schedules into one normalized schedule.
 func Merge(parts ...Schedule) Schedule {
 	var out Schedule

@@ -170,9 +170,6 @@ func (l *Ledger) Model() *Model { return l.model }
 // that keeps battery-free runs byte-identical to the pre-battery build.
 func (l *Ledger) SetMeter(m Meter) { l.meter = m }
 
-// Meter returns the attached meter, or nil.
-func (l *Ledger) Meter() Meter { return l.meter }
-
 // SetTracer attaches an observability tracer (nil detaches): every granted
 // non-zero charge emits a trace.Charge event whose Bytes field carries the
 // energy. clock supplies the simulated timestamp — pass the kernel's Now;

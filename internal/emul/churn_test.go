@@ -62,8 +62,8 @@ func TestChurnFreeRunChurnMatchesRunLabeling(t *testing.T) {
 			got.RuleFirings != want.RuleFirings || got.PhysHops != want.PhysHops {
 			t.Errorf("seed %d: churn-free RunChurn diverged from RunLabeling", seed)
 		}
-		msgsA, hopsA := mA.Stats()
-		msgsB, hopsB := mB.Stats()
+		msgsA, hopsA := mA.msgs, mA.physHops
+		msgsB, hopsB := mB.msgs, mB.physHops
 		if msgsA != msgsB || hopsA != hopsB {
 			t.Errorf("seed %d: traffic diverged: (%d,%d) vs (%d,%d)", seed, msgsA, hopsA, msgsB, hopsB)
 		}

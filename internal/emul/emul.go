@@ -44,9 +44,6 @@ type Machine struct {
 	msgs     int64
 	physHops int64
 
-	// Fault layer (see faults.go).
-	failovers int64
-
 	tracer *trace.Tracer
 }
 
@@ -54,9 +51,6 @@ type Machine struct {
 // emits virtual-plane events; attach the same tracer to the medium (and
 // ledger) to interleave the physical-plane story.
 func (m *Machine) SetTracer(t *trace.Tracer) { m.tracer = t }
-
-// Tracer returns the attached tracer, or nil.
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
 
 // vevt builds a virtual-plane event: coordinates name the virtual node and
 // ID stays -1, so virtual identities never collide with the physical node
@@ -258,9 +252,6 @@ func (m *Machine) Compute(c geom.Coord, units int64) {
 func (m *Machine) Sense(c geom.Coord, units int64) {
 	m.med.Ledger().Charge(m.bnd.Leaders[c], cost.Sense, units)
 }
-
-// Stats returns application messages injected and physical hops traversed.
-func (m *Machine) Stats() (msgs, physHops int64) { return m.msgs, m.physHops }
 
 // Result mirrors synth.Result for the physical run.
 type Result struct {

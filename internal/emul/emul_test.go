@@ -123,7 +123,7 @@ func TestPhysicalSendDeliversAtLeaders(t *testing.T) {
 		t.Fatal("message never reached the destination leader")
 	}
 	_ = nw
-	msgs, hops := m.Stats()
+	msgs, hops := m.msgs, m.physHops
 	if msgs != 1 || hops < int64(from.Manhattan(to)) {
 		t.Errorf("stats msgs=%d hops=%d; hops must be at least the Manhattan distance", msgs, hops)
 	}

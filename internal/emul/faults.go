@@ -42,16 +42,12 @@ func (m *Machine) repairRoles(cell geom.Coord) {
 		for _, cand := range m.med.Network().CellMembers(m.hier.Grid)[idx] {
 			if m.up(cand) {
 				m.bnd.Leaders[cell] = cand
-				m.failovers++
 				break
 			}
 		}
 	}
 	m.rebuildCell(cell)
 }
-
-// Failovers counts cell-leader promotions performed by Kill.
-func (m *Machine) Failovers() int64 { return m.failovers }
 
 // rebuildCell recomputes one cell's intra-cell relay tree over its up
 // (alive and awake) members, rooted at the current bound leader. Members

@@ -18,6 +18,7 @@ func TestKillNonLeaderStillLabels(t *testing.T) {
 	// labeling result: the cell tree rebuilds around it and incremental
 	// repair re-teaches the inter-cell chains that used it.
 	m, h, _, nw := stack(t, 4, 8, 1)
+	before := copyLeaders(m.bnd.Leaders)
 	leaders := make(map[int]bool, len(m.bnd.Leaders))
 	for _, id := range m.bnd.Leaders {
 		leaders[id] = true
@@ -42,8 +43,8 @@ func TestKillNonLeaderStillLabels(t *testing.T) {
 	if truth := regions.Label(fmap); res.Final.Count() != truth.Count {
 		t.Errorf("count %d, truth %d", res.Final.Count(), truth.Count)
 	}
-	if m.Failovers() != 0 {
-		t.Errorf("failovers %d for a non-leader kill, want 0", m.Failovers())
+	if n := failovers(before, m.bnd.Leaders); n != 0 {
+		t.Errorf("failovers %d for a non-leader kill, want 0", n)
 	}
 }
 
@@ -54,10 +55,11 @@ func TestKillLeaderFailsOverAndLabels(t *testing.T) {
 	m, h, _, _ := stack(t, 4, 8, 2)
 	cell := geom.Coord{Col: 1, Row: 1}
 	old := m.bnd.Leaders[cell]
+	before := copyLeaders(m.bnd.Leaders)
 	m.Kill(old)
 	m.proto.RepairIncremental()
-	if m.Failovers() != 1 {
-		t.Fatalf("failovers %d, want 1", m.Failovers())
+	if n := failovers(before, m.bnd.Leaders); n != 1 {
+		t.Fatalf("failovers %d, want 1", n)
 	}
 	now := m.bnd.Leaders[cell]
 	if now == old || !m.med.Alive(now) {
@@ -89,4 +91,23 @@ func TestKillWholeCellStallsRound(t *testing.T) {
 	if _, err := m.RunLabeling(testMap(h.Grid, 13)); err == nil {
 		t.Error("labeling completed despite a dead cell")
 	}
+}
+
+func copyLeaders(l map[geom.Coord]int) map[geom.Coord]int {
+	out := make(map[geom.Coord]int, len(l))
+	for c, id := range l {
+		out[c] = id
+	}
+	return out
+}
+
+// failovers counts the cells whose bound leader changed.
+func failovers(before, after map[geom.Coord]int) int {
+	n := 0
+	for c, id := range before {
+		if after[c] != id {
+			n++
+		}
+	}
+	return n
 }

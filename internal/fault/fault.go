@@ -7,8 +7,8 @@
 //
 //   - crash schedules: fail-stop node deaths at scheduled sim.Times,
 //     seed-derived random crash sets (nested as the crash fraction grows,
-//     so sweeps are monotone by construction), and region-targeted kill
-//     zones. An Injector arms a schedule on a kernel: at each crash time it
+//     so sweeps are monotone by construction), and explicit crash lists.
+//     An Injector arms a schedule on a kernel: at each crash time it
 //     silences the node on every registered Target (radio alive gate,
 //     virtual-machine alive gate) and cancels all the node's owned events
 //     via sim.Kernel.CancelOwner.
@@ -30,7 +30,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"wsnva/internal/geom"
 	"wsnva/internal/sim"
 )
 
@@ -61,15 +60,6 @@ func (s Schedule) normalize() Schedule {
 		}
 		seen[c.Node] = true
 		out = append(out, c)
-	}
-	return out
-}
-
-// Nodes returns the set of nodes the schedule kills, in crash order.
-func (s Schedule) Nodes() []int {
-	out := make([]int, len(s))
-	for i, c := range s {
-		out[i] = c.Node
 	}
 	return out
 }
@@ -132,32 +122,6 @@ func MustRandom(n int, fraction float64, window sim.Time, seed int64) Schedule {
 	return s
 }
 
-// Region kills every grid cell inside the inclusive coordinate box
-// [min, max] at time at — the correlated-failure mode (a fire, a flood, a
-// dead power segment) that stresses hierarchies far harder than the same
-// number of uniformly random deaths. Nodes are grid indices.
-func Region(g *geom.Grid, min, max geom.Coord, at sim.Time) Schedule {
-	var s Schedule
-	for row := min.Row; row <= max.Row; row++ {
-		for col := min.Col; col <= max.Col; col++ {
-			c := geom.Coord{Col: col, Row: row}
-			if g.InBounds(c) {
-				s = append(s, Crash{Node: g.Index(c), At: at})
-			}
-		}
-	}
-	return s.normalize()
-}
-
-// Merge combines schedules; the earliest crash wins per node.
-func Merge(ss ...Schedule) Schedule {
-	var all Schedule
-	for _, s := range ss {
-		all = append(all, s...)
-	}
-	return all.normalize()
-}
-
 // Target is anything that can silence a node: the radio medium's alive
 // gate, the virtual machine's alive gate, a protocol's membership view.
 type Target interface {
@@ -170,26 +134,10 @@ type TargetFunc func(node int)
 // Kill implements Target.
 func (f TargetFunc) Kill(node int) { f(node) }
 
-// Suspender is the reversible counterpart of Target: a subsystem whose
-// silence can be imposed and lifted again (the radio's tri-state alive
-// gate). Unlike Kill, Suspend carries no event-cancellation finality —
-// the node's owned timers keep their kernel slots — so a Resume restores
-// the node to exactly the state it slept in.
-type Suspender interface {
-	Suspend(node int)
-	Resume(node int)
-}
-
 // Injector arms crash schedules on a kernel and tracks liveness.
 type Injector struct {
 	kernel *sim.Kernel
 	dead   []bool
-	// asleep distinguishes sleeping from dead: a sleeping node is
-	// silenced on its Suspender targets but not killed — no events are
-	// cancelled, and Resume lifts the silence. Dead trumps asleep.
-	asleep   []bool
-	killed   int
-	sleeping int
 }
 
 // NewInjector returns an injector for n nodes over kernel k.
@@ -200,27 +148,6 @@ func NewInjector(k *sim.Kernel, n int) *Injector {
 	return &Injector{kernel: k, dead: make([]bool, n)}
 }
 
-// Alive reports whether node is still up (sleeping counts as alive).
-func (in *Injector) Alive(node int) bool { return !in.dead[node] }
-
-// Asleep reports whether node is suspended (alive but silenced).
-func (in *Injector) Asleep(node int) bool {
-	return in.asleep != nil && in.asleep[node] && !in.dead[node]
-}
-
-// Up reports whether node is alive and not suspended — the gate a
-// protocol should consult before expecting the node to participate.
-func (in *Injector) Up(node int) bool { return !in.dead[node] && !in.Asleep(node) }
-
-// Killed returns how many nodes have died so far.
-func (in *Injector) Killed() int { return in.killed }
-
-// Sleeping returns how many nodes are currently suspended.
-func (in *Injector) Sleeping() int { return in.sleeping }
-
-// N returns the number of nodes the injector tracks.
-func (in *Injector) N() int { return len(in.dead) }
-
 // Kill fails node immediately: marks it dead, silences it on every target,
 // and cancels all events it owns. Killing a dead node is a no-op.
 func (in *Injector) kill(node int, targets []Target) {
@@ -228,53 +155,10 @@ func (in *Injector) kill(node int, targets []Target) {
 		return
 	}
 	in.dead[node] = true
-	in.killed++
-	if in.asleep != nil && in.asleep[node] {
-		// Death is final and absorbs the sleep: the node will never
-		// resume, so it no longer counts as sleeping.
-		in.asleep[node] = false
-		in.sleeping--
-	}
 	for _, t := range targets {
 		t.Kill(node)
 	}
 	in.kernel.CancelOwner(node)
-}
-
-// Suspend silences node reversibly on every target: the node sleeps — it
-// is not dead, its owned events stay scheduled, and Resume wakes it.
-// Suspending a dead or sleeping node is a no-op.
-func (in *Injector) Suspend(node int, targets ...Suspender) {
-	if node < 0 || node >= len(in.dead) {
-		panic(fmt.Sprintf("fault: suspend for node %d outside [0,%d)", node, len(in.dead)))
-	}
-	if in.dead[node] || (in.asleep != nil && in.asleep[node]) {
-		return
-	}
-	if in.asleep == nil {
-		in.asleep = make([]bool, len(in.dead))
-	}
-	in.asleep[node] = true
-	in.sleeping++
-	for _, t := range targets {
-		t.Suspend(node)
-	}
-}
-
-// Resume lifts a suspension on every target. Resuming a dead or awake
-// node is a no-op: death is final, and a double wake must not ripple.
-func (in *Injector) Resume(node int, targets ...Suspender) {
-	if node < 0 || node >= len(in.dead) {
-		panic(fmt.Sprintf("fault: resume for node %d outside [0,%d)", node, len(in.dead)))
-	}
-	if in.dead[node] || in.asleep == nil || !in.asleep[node] {
-		return
-	}
-	in.asleep[node] = false
-	in.sleeping--
-	for _, t := range targets {
-		t.Resume(node)
-	}
 }
 
 // Fail kills node immediately, outside any armed schedule: marks it dead,
@@ -434,8 +318,6 @@ type BurstChannel struct {
 	params GilbertElliott
 	rng    *rand.Rand
 	bad    bool
-	losses int64
-	draws  int64
 }
 
 // Process starts the chain in the Good state with a seeded RNG. It panics
@@ -464,16 +346,5 @@ func (c *BurstChannel) Lost() bool {
 	if c.bad {
 		p = c.params.LossBad
 	}
-	lost := c.rng.Float64() < p
-	c.draws++
-	if lost {
-		c.losses++
-	}
-	return lost
+	return c.rng.Float64() < p
 }
-
-// Bad reports whether the chain is currently in the Bad state.
-func (c *BurstChannel) Bad() bool { return c.bad }
-
-// Stats returns attempts drawn and attempts lost so far.
-func (c *BurstChannel) Stats() (draws, losses int64) { return c.draws, c.losses }

@@ -206,10 +206,6 @@ func TestBurstChannelClusters(t *testing.T) {
 	if condAfterLoss < 2*rate {
 		t.Errorf("losses do not cluster: P(loss|loss) = %v vs marginal %v", condAfterLoss, rate)
 	}
-	gotDraws, gotLosses := c.Stats()
-	if gotDraws != draws || gotLosses != int64(losses) {
-		t.Errorf("stats (%d, %d), want (%d, %d)", gotDraws, gotLosses, draws, losses)
-	}
 }
 
 // TestInjectorFail covers the public immediate-kill entry: marks the node
@@ -221,11 +217,11 @@ func TestInjectorFail(t *testing.T) {
 	tgt := TargetFunc(func(node int) { killed = append(killed, node) })
 	in.Fail(2, tgt)
 	in.Fail(2, tgt) // repeat is a no-op
-	if in.Alive(2) {
-		t.Error("node 2 alive after Fail")
+	if fmt.Sprint(in.dead) != "[false false true false]" {
+		t.Errorf("dead = %v, want only node 2", in.dead)
 	}
-	if in.Killed() != 1 || len(killed) != 1 || killed[0] != 2 {
-		t.Errorf("killed=%d targets=%v, want one kill of node 2", in.Killed(), killed)
+	if len(killed) != 1 || killed[0] != 2 {
+		t.Errorf("targets=%v, want one kill of node 2", killed)
 	}
 	defer func() {
 		if recover() == nil {
@@ -233,80 +229,4 @@ func TestInjectorFail(t *testing.T) {
 		}
 	}()
 	in.Fail(4, tgt)
-}
-
-// recorder is a Suspender/Target that logs calls for assertion.
-type recorder struct{ log []string }
-
-func (r *recorder) Kill(node int)    { r.log = append(r.log, fmt.Sprintf("kill %d", node)) }
-func (r *recorder) Suspend(node int) { r.log = append(r.log, fmt.Sprintf("suspend %d", node)) }
-func (r *recorder) Resume(node int)  { r.log = append(r.log, fmt.Sprintf("resume %d", node)) }
-
-func TestInjectorSuspendResume(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 4)
-	var r recorder
-	in.Suspend(2, &r)
-	if !in.Alive(2) || !in.Asleep(2) || in.Up(2) {
-		t.Fatalf("suspended: Alive=%v Asleep=%v Up=%v, want true/true/false", in.Alive(2), in.Asleep(2), in.Up(2))
-	}
-	if in.Sleeping() != 1 {
-		t.Errorf("Sleeping() = %d, want 1", in.Sleeping())
-	}
-	in.Suspend(2, &r) // idempotent: no second target call
-	in.Resume(2, &r)
-	if in.Asleep(2) || !in.Up(2) || in.Sleeping() != 0 {
-		t.Errorf("resumed: Asleep=%v Up=%v Sleeping=%d", in.Asleep(2), in.Up(2), in.Sleeping())
-	}
-	in.Resume(2, &r) // idempotent
-	want := []string{"suspend 2", "resume 2"}
-	if fmt.Sprint(r.log) != fmt.Sprint(want) {
-		t.Errorf("target calls %v, want %v", r.log, want)
-	}
-}
-
-func TestInjectorSuspendKeepsOwnedEvents(t *testing.T) {
-	// Unlike kill, suspend must not cancel the node's owned events —
-	// that is the "no event-cancellation finality" contract.
-	k := sim.New()
-	in := NewInjector(k, 2)
-	fired := false
-	k.AtOwned(10, 1, func() { fired = true })
-	in.Suspend(1)
-	k.Run()
-	if !fired {
-		t.Error("suspend cancelled an owned event")
-	}
-}
-
-func TestInjectorDeathAbsorbsSleep(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 3)
-	in.Suspend(1)
-	in.Fail(1)
-	if in.Asleep(1) || in.Sleeping() != 0 {
-		t.Errorf("dead node: Asleep=%v Sleeping=%d, want false/0", in.Asleep(1), in.Sleeping())
-	}
-	// Suspend/Resume on the dead node are no-ops.
-	var r recorder
-	in.Suspend(1, &r)
-	in.Resume(1, &r)
-	if len(r.log) != 0 {
-		t.Errorf("dead node reached targets: %v", r.log)
-	}
-}
-
-func TestInjectorSuspendRangePanics(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 2)
-	for _, f := range []func(){func() { in.Suspend(7) }, func() { in.Resume(-1) }} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("out-of-range suspend/resume did not panic")
-				}
-			}()
-			f()
-		}()
-	}
 }

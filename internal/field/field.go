@@ -125,6 +125,32 @@ func (s Stripes) Sample(p geom.Point, _ int64) float64 {
 // Name implements Field.
 func (s Stripes) Name() string { return "stripes" }
 
+// Named looks up a mission phenomenon by name — "blobs" (four random
+// bumps drawn from the stream seed+2), "gradient", "stripes" or "solid" —
+// and returns the function that builds it over a terrain. It is the one
+// table the simulator CLI and the mission server share, so the same
+// mission means the same phenomenon at both. An unknown name is an error.
+func Named(name string) (func(terrain geom.Rect, seed int64) Field, error) {
+	switch name {
+	case "blobs":
+		return func(terrain geom.Rect, seed int64) Field {
+			return RandomBlobs(4, terrain, terrain.Width()/10, terrain.Width()/6,
+				rand.New(rand.NewSource(seed+2)))
+		}, nil
+	case "gradient":
+		return func(terrain geom.Rect, _ int64) Field {
+			return Gradient{DX: 1.0 / terrain.Width() * 2}
+		}, nil
+	case "stripes":
+		return func(terrain geom.Rect, _ int64) Field {
+			return Stripes{Width: terrain.Width() / 4, High: 1}
+		}, nil
+	case "solid":
+		return func(geom.Rect, int64) Field { return Constant{Value: 1} }, nil
+	}
+	return nil, fmt.Errorf("field: unknown phenomenon %q (want blobs, gradient, stripes, or solid)", name)
+}
+
 // Noise adds i.i.d. uniform noise in [-Amp, +Amp] to an inner field,
 // deterministically derived from the sample position so repeated samples at
 // a point agree (a fixed sensor re-reads the same miscalibration, which is

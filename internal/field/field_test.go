@@ -178,3 +178,27 @@ func TestFromBits(t *testing.T) {
 	}()
 	FromBits(g, []bool{true})
 }
+
+func TestNamed(t *testing.T) {
+	terrain := geom.Rect{MaxX: 80, MaxY: 80}
+	for name, want := range map[string]string{
+		"blobs": "blobs-4", "gradient": "gradient", "stripes": "stripes", "solid": "const-1.00",
+	} {
+		mk, err := Named(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := mk(terrain, 7).Name(); got != want {
+			t.Errorf("%s builds %q, want %q", name, got, want)
+		}
+	}
+	// Blob shapes come from the seed+2 stream.
+	mk, _ := Named("blobs")
+	want := RandomBlobs(4, terrain, 8, 80.0/6, rand.New(rand.NewSource(9)))
+	if got := mk(terrain, 7).(Blobs); got.Items[0] != want.Items[0] {
+		t.Errorf("blobs from seed 7 = %+v, want the seed-9 stream %+v", got.Items[0], want.Items[0])
+	}
+	if _, err := Named("plasma"); err == nil {
+		t.Error("unknown phenomenon accepted")
+	}
+}

@@ -66,12 +66,6 @@ func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 // Height returns the vertical extent of r.
 func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 
-// Diagonal returns the length of r's diagonal, an upper bound on the
-// distance between any two points in r.
-func (r Rect) Diagonal() float64 {
-	return math.Sqrt(r.Width()*r.Width() + r.Height()*r.Height())
-}
-
 func (r Rect) String() string {
 	return fmt.Sprintf("[%.2f,%.2f)x[%.2f,%.2f)", r.MinX, r.MaxX, r.MinY, r.MaxY)
 }
@@ -112,21 +106,6 @@ const (
 	West
 	NumDirs // number of directions; handy for array sizing
 )
-
-// Opposite returns the direction pointing the other way.
-func (d Dir) Opposite() Dir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
-	}
-	panic(fmt.Sprintf("geom: invalid direction %d", int(d)))
-}
 
 func (d Dir) String() string {
 	switch d {
@@ -266,17 +245,6 @@ func (g *Grid) CellOf(p Point) Coord {
 		row = g.Rows - 1
 	}
 	return Coord{Col: col, Row: row}
-}
-
-// Neighbors appends to dst the in-bounds grid coordinates adjacent to c in
-// the four directions and returns the extended slice.
-func (g *Grid) Neighbors(dst []Coord, c Coord) []Coord {
-	for d := North; d < NumDirs; d++ {
-		if n := c.Step(d); g.InBounds(n) {
-			dst = append(dst, n)
-		}
-	}
-	return dst
 }
 
 // Coords returns all coordinates of g in row-major (index) order.

@@ -29,6 +29,7 @@ import (
 	"wsnva/internal/geom"
 	"wsnva/internal/program"
 	"wsnva/internal/regions"
+	"wsnva/internal/routing"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
 )
@@ -85,7 +86,7 @@ type runState struct {
 
 func (f *nodeFx) Send(level int, size int64, payload any) {
 	dst := f.eng.hier.LeaderAt(f.coord, level)
-	route := xyRoute(f.eng.hier.Grid, f.coord, dst)
+	route := routing.XYRoute(f.eng.hier.Grid, f.coord, dst)
 	f.eng.res.Messages++
 	f.eng.flights = append(f.eng.flights, &flight{
 		route: route, pos: 0, size: size, payload: payload, seq: f.eng.nextSeq,
@@ -109,31 +110,6 @@ func (f *nodeFx) Sense(units int64) {
 }
 
 func (f *nodeFx) Coord() geom.Coord { return f.coord }
-
-// xyRoute mirrors routing.XYRoute but is local to avoid an import cycle
-// hazard if routing ever grows a lockstep dependency; the two are asserted
-// equal in tests.
-func xyRoute(g *geom.Grid, src, dst geom.Coord) []geom.Coord {
-	route := []geom.Coord{src}
-	cur := src
-	for cur.Col != dst.Col {
-		if cur.Col < dst.Col {
-			cur = cur.Step(geom.East)
-		} else {
-			cur = cur.Step(geom.West)
-		}
-		route = append(route, cur)
-	}
-	for cur.Row != dst.Row {
-		if cur.Row < dst.Row {
-			cur = cur.Step(geom.South)
-		} else {
-			cur = cur.Step(geom.North)
-		}
-		route = append(route, cur)
-	}
-	return route
-}
 
 // maxRounds guards against a livelocked round loop; no correct program
 // needs more rounds than total route length, itself far below this.

@@ -8,7 +8,6 @@ import (
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/regions"
-	"wsnva/internal/routing"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
@@ -38,7 +37,7 @@ func TestLockstepMatchesGroundTruth(t *testing.T) {
 		if res.Final.Count() != truth.Count {
 			t.Errorf("side %d: count %d vs truth %d", side, res.Final.Count(), truth.Count)
 		}
-		if !res.Final.Complete() {
+		if res.Final.CoveredCells() != m.Grid.N() {
 			t.Errorf("side %d: incomplete coverage", side)
 		}
 	}
@@ -145,25 +144,6 @@ func TestTrivialGridLockstep(t *testing.T) {
 	}
 	if l.Units(cost.Tx) != 0 {
 		t.Error("no transmissions expected")
-	}
-}
-
-func TestXYRouteMirrorsRoutingPackage(t *testing.T) {
-	g := geom.NewSquareGrid(8, 8)
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 200; i++ {
-		src := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
-		dst := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
-		a := xyRoute(g, src, dst)
-		b := routing.XYRoute(g, src, dst)
-		if len(a) != len(b) {
-			t.Fatalf("route lengths differ for %v->%v", src, dst)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("routes differ at %d for %v->%v", j, src, dst)
-			}
-		}
 	}
 }
 

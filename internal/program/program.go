@@ -73,9 +73,6 @@ func (e *Env) TakeMsg() any {
 	return m
 }
 
-// InboxLen returns the number of queued messages.
-func (e *Env) InboxLen() int { return len(e.inbox) }
-
 // Effector is the set of externally visible effects an action may perform.
 // The virtual architecture (or the goroutine runtime) supplies the
 // implementation; the program never sees anything lower-level.

@@ -147,12 +147,12 @@ func TestReleasedEnvIsResized(t *testing.T) {
 
 func TestInboxSemantics(t *testing.T) {
 	e := NewEnv()
-	if e.PeekMsg() != nil || e.InboxLen() != 0 {
+	if e.PeekMsg() != nil || len(e.inbox) != 0 {
 		t.Error("fresh inbox should be empty")
 	}
 	e.Deliver("a")
 	e.Deliver("b")
-	if e.InboxLen() != 2 {
+	if len(e.inbox) != 2 {
 		t.Error("inbox should hold 2")
 	}
 	if e.PeekMsg().(string) != "a" {

@@ -20,7 +20,6 @@ import (
 
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
-	"wsnva/internal/metrics"
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
@@ -59,19 +58,12 @@ func (d UniformDelay) Delay(size int64, rng *rand.Rand) sim.Time {
 	return base
 }
 
-// MinDelayer is implemented by delay models that can state a lower
-// bound on every delivery delay they will ever produce. That bound is
-// the conservative lookahead of a parallel simulation: a sharded kernel
-// may safely advance all shards through a window of this width, because
+// MinDelay returns a lower bound on every delivery delay the model will
+// ever produce: delay is monotone in size and jitter only ever adds, so
+// the floor is the one-unit transmission latency. That bound is the
+// conservative lookahead of a parallel simulation: a sharded kernel may
+// safely advance all shards through a window of this width, because
 // nothing sent inside the window can arrive before the window ends.
-type MinDelayer interface {
-	// MinDelay returns the model's minimum delivery delay for any
-	// positive packet size.
-	MinDelay() sim.Time
-}
-
-// MinDelay implements MinDelayer: delay is monotone in size and jitter
-// only ever adds, so the floor is the one-unit transmission latency.
 func (d UniformDelay) MinDelay() sim.Time { return sim.Time(d.Model.TxLatency(1)) }
 
 // LossModel is a pluggable per-delivery loss decision. The medium asks
@@ -127,9 +119,6 @@ type Medium struct {
 	scratchTaken []bool
 
 	tracer *trace.Tracer
-	mTx    *metrics.Counter
-	mRx    *metrics.Counter
-	mDrop  *metrics.Counter
 }
 
 // Config collects the knobs for a Medium.
@@ -193,18 +182,6 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 // emissions are guarded, so a detached medium pays one pointer compare.
 func (m *Medium) SetTracer(t *trace.Tracer) { m.tracer = t }
 
-// SetMetrics registers the medium's per-node counters (radio.tx, radio.rx,
-// radio.drop) in reg. A nil registry detaches them.
-func (m *Medium) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		m.mTx, m.mRx, m.mDrop = nil, nil, nil
-		return
-	}
-	m.mTx = reg.Counter("radio.tx", m.nw.N())
-	m.mRx = reg.Counter("radio.rx", m.nw.N())
-	m.mDrop = reg.Counter("radio.drop", m.nw.N())
-}
-
 // emit records a structured event for node (and optional peer >= 0),
 // stamped at the kernel's current time. Callers guard with m.tracer != nil.
 func (m *Medium) emit(kind trace.Kind, node, peer int, size int64, detail string) {
@@ -264,7 +241,7 @@ func (m *Medium) Expire(node int) {
 // it neither transmits nor receives, with no event-cancellation finality
 // — timers owned by the node keep their slots and fire on schedule (their
 // handlers see the radio down). Suspending a dead or already-sleeping
-// node is a no-op. Suspend implements the fault layer's Suspender.
+// node is a no-op.
 func (m *Medium) Suspend(node int) {
 	if !m.alive[node] || (m.asleep != nil && m.asleep[node]) {
 		return
@@ -387,9 +364,6 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 	if m.tracer != nil {
 		m.emit(trace.Tx, from, -1, size, "broadcast")
 	}
-	if m.mTx != nil {
-		m.mTx.Inc(from)
-	}
 	// Pass 1: draw per-neighbor randomness in neighbor order (the exact
 	// stream of the per-event code this replaces), keeping survivors.
 	m.scratchTo = m.scratchTo[:0]
@@ -400,9 +374,6 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 			m.dropped++
 			if m.tracer != nil {
 				m.emit(trace.Drop, nbr, from, size, "lost")
-			}
-			if m.mDrop != nil {
-				m.mDrop.Inc(nbr)
 			}
 			continue
 		}
@@ -473,16 +444,10 @@ func (m *Medium) Unicast(from, to int, size int64, payload any) bool {
 	if m.tracer != nil {
 		m.emit(trace.Tx, from, to, size, "unicast")
 	}
-	if m.mTx != nil {
-		m.mTx.Inc(from)
-	}
 	if m.lossy() && m.lost(from, to, size) {
 		m.dropped++
 		if m.tracer != nil {
 			m.emit(trace.Drop, to, from, size, "lost")
-		}
-		if m.mDrop != nil {
-			m.mDrop.Inc(to)
 		}
 		return false
 	}
@@ -514,18 +479,12 @@ func (m *Medium) deliver(to int, pkt Packet) {
 			}
 			m.emit(trace.Drop, to, pkt.From, pkt.Size, detail)
 		}
-		if m.mDrop != nil {
-			m.mDrop.Inc(to)
-		}
 		return
 	}
 	m.delivered++
 	m.ledger.Charge(to, cost.Rx, pkt.Size)
 	if m.tracer != nil {
 		m.emit(trace.Rx, to, pkt.From, pkt.Size, "")
-	}
-	if m.mRx != nil {
-		m.mRx.Inc(to)
 	}
 	if h := m.handlers[to]; h != nil {
 		h(pkt)

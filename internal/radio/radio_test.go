@@ -342,7 +342,6 @@ func TestMinDelayFloorsEveryDraw(t *testing.T) {
 	model := cost.NewUniform()
 	for _, jitter := range []sim.Time{0, 3} {
 		d := UniformDelay{Model: model, Jitter: jitter}
-		var _ MinDelayer = d
 		floor := d.MinDelay()
 		if floor != 1 {
 			t.Fatalf("uniform model min delay = %d, want 1", floor)

@@ -122,7 +122,7 @@ func TestQuickCompleteSummaryCompressed(t *testing.T) {
 	f := func(seed int64) bool {
 		m := mapFromSeed(seed, 2)
 		s := LeafBlock(m, 0, 0, 8, 8)
-		if !s.Complete() {
+		if s.CoveredCells() != m.Grid.N() {
 			return false
 		}
 		for _, r := range s.Regions() {

@@ -131,17 +131,6 @@ func Label(m *field.BinaryMap) *Labeling {
 	return &Labeling{Labels: labels, Count: len(minOf)}
 }
 
-// Sizes returns the cell count of every region keyed by canonical label.
-func (l *Labeling) Sizes() map[int]int {
-	out := make(map[int]int)
-	for _, lab := range l.Labels {
-		if lab >= 0 {
-			out[lab]++
-		}
-	}
-	return out
-}
-
 // BBox is a bounding box in grid coordinates, inclusive on all sides.
 type BBox struct {
 	MinCol, MinRow, MaxCol, MaxRow int
@@ -306,9 +295,6 @@ func (s *Summary) CoveredCells() int {
 	}
 	return total
 }
-
-// Complete reports whether the summary covers the entire grid.
-func (s *Summary) Complete() bool { return s.CoveredCells() == s.grid.N() }
 
 // Count returns the number of distinct regions known to the summary.
 func (s *Summary) Count() int { return len(s.regions) }
@@ -559,15 +545,6 @@ func (s *Summary) Clone() *Summary {
 			cp.Border = nil
 		}
 		out.regions[i] = &cp
-	}
-	return out
-}
-
-// Labels returns the canonical labels of all regions, sorted.
-func (s *Summary) Labels() []int {
-	out := make([]int, len(s.regions))
-	for i, r := range s.regions {
-		out[i] = r.Label
 	}
 	return out
 }

@@ -75,7 +75,7 @@ func TestLabelCanonicalAndSizes(t *testing.T) {
 	if l.Labels[2] != -1 {
 		t.Error("background should be -1")
 	}
-	sizes := l.Sizes()
+	sizes := regionSizes(l)
 	if sizes[0] != 3 || sizes[14] != 2 {
 		t.Errorf("sizes = %v", sizes)
 	}
@@ -135,7 +135,7 @@ func TestMergeMatchesGroundTruth(t *testing.T) {
 			order[i] = i
 		}
 		final := mergeAll(m, order)
-		if !final.Complete() {
+		if final.CoveredCells() != g.N() {
 			t.Fatalf("map %d: merge of all leaves should cover grid", mi)
 		}
 		if final.Count() != truth.Count {
@@ -145,7 +145,7 @@ func TestMergeMatchesGroundTruth(t *testing.T) {
 			t.Errorf("map %d: cells %d != map %d", mi, final.TotalCells(), m.Count())
 		}
 		// Canonical labels must agree with ground truth exactly.
-		sizes := truth.Sizes()
+		sizes := regionSizes(truth)
 		for _, r := range final.Regions() {
 			if !r.Closed {
 				t.Errorf("map %d: region %d still open after full coverage", mi, r.Label)
@@ -173,7 +173,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 		got := mergeAll(m, order)
 		if !got.Equal(ref) {
 			t.Fatalf("trial %d: merge order changed the result\nref: %v %v\ngot: %v %v",
-				trial, ref, ref.Labels(), got, got.Labels())
+				trial, ref, ref.Regions(), got, got.Regions())
 		}
 	}
 }
@@ -190,7 +190,7 @@ func TestLeafBlockEqualsLeafMerge(t *testing.T) {
 	merged := mergeAll(m, order)
 	if !block.Equal(merged) {
 		t.Errorf("LeafBlock != merged leaves:\nblock: %v %v\nmerged: %v %v",
-			block, block.Labels(), merged, merged.Labels())
+			block, block.Regions(), merged, merged.Regions())
 	}
 	// Sub-block vs merge of that sub-block's leaves.
 	sub := LeafBlock(m, 2, 2, 3, 3)
@@ -252,9 +252,8 @@ func TestMergeBBoxAndLabels(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("count = %d", s.Count())
 	}
-	labels := s.Labels()
-	if labels[0] != 0 || labels[1] != 14 {
-		t.Errorf("labels = %v", labels)
+	if l0, l1 := s.Regions()[0].Label, s.Regions()[1].Label; l0 != 0 || l1 != 14 {
+		t.Errorf("labels = %d, %d", l0, l1)
 	}
 	r0 := s.Regions()[0]
 	if r0.Box != (BBox{MinCol: 0, MinRow: 0, MaxCol: 1, MaxRow: 0}) {
@@ -341,4 +340,16 @@ func TestHalfMergeProperty(t *testing.T) {
 			t.Fatalf("trial %d: count %d != truth %d", trial, left.Count(), Label(m).Count)
 		}
 	}
+}
+
+// regionSizes returns the cell count of every ground-truth region keyed by
+// canonical label.
+func regionSizes(l *Labeling) map[int]int {
+	out := make(map[int]int)
+	for _, lab := range l.Labels {
+		if lab >= 0 {
+			out[lab]++
+		}
+	}
+	return out
 }

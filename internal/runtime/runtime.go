@@ -40,11 +40,6 @@ type Config struct {
 	Retries int
 	// Seed drives the loss coin flips (per-sender streams derived from it).
 	Seed int64
-	// StallPoll is how often the supervisor checks for global quiescence;
-	// zero means 200µs.
-	StallPoll time.Duration
-	// MaxWait bounds the wall-clock run time; zero means 30s.
-	MaxWait time.Duration
 	// Crashed marks nodes (by grid index) as failed-stop for the whole
 	// round: they never start, never receive, and traffic addressed to them
 	// is dropped. Nil means everyone is up.
@@ -114,10 +109,16 @@ type nodeFx struct {
 	grid   *geom.Grid
 }
 
+// maxWait bounds a round's wall-clock run time.
+const maxWait = 30 * time.Second
+
 type run struct {
 	hier    *varch.Hierarchy
 	inboxes []chan envelope
+	// pending counts outstanding work: one unit per live node's start
+	// work plus one per enqueued message. quiet closes when it reaches 0.
 	pending atomic.Int64
+	quiet   chan struct{}
 	stop    chan struct{}
 	// results accumulates exfiltrated values in arrival order.
 	resultMu sync.Mutex
@@ -249,7 +250,16 @@ func (f *nodeFx) Send(level int, size int64, payload any) {
 	select {
 	case f.rt.inboxes[f.grid.Index(dst)] <- envelope{payload: payload}:
 	case <-f.rt.stop:
-		f.rt.pending.Add(-1)
+		f.rt.release()
+	}
+}
+
+// release retires one unit of outstanding work. The unit that brings the
+// count to zero closes quiet: every unit is added by a node still holding
+// one of its own, so once the count is zero nothing can raise it again.
+func (r *run) release() {
+	if r.pending.Add(-1) == 0 {
+		close(r.quiet)
 	}
 }
 
@@ -345,6 +355,7 @@ func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Confi
 	r := &run{
 		hier:     h,
 		inboxes:  make([]chan envelope, n),
+		quiet:    make(chan struct{}),
 		stop:     make(chan struct{}),
 		loss:     cfg.Loss,
 		retries:  cfg.Retries,
@@ -378,6 +389,9 @@ func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Confi
 		}
 	}
 	r.pending.Store(alive) // one unit of start work per live node
+	if alive == 0 {
+		close(r.quiet)
+	}
 
 	for _, c := range g.Coords() {
 		c := c
@@ -407,7 +421,7 @@ func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Confi
 		go func(inst *program.Instance, inbox chan envelope, idx int) {
 			defer wg.Done()
 			inst.RunToQuiescence()
-			r.pending.Add(-1)
+			r.release()
 			for {
 				select {
 				case env := <-inbox:
@@ -416,7 +430,7 @@ func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Confi
 					if !r.dead(idx) {
 						inst.OnMessage(env.payload)
 					}
-					r.pending.Add(-1)
+					r.release()
 				case <-r.stop:
 					return
 				}
@@ -427,22 +441,14 @@ func (rt *Runtime) RunProgram(spec *program.Spec, ledger *cost.Ledger, cfg Confi
 	// Supervise: stop at global quiescence (no node processing, no message
 	// in flight) or on wall-clock timeout. Exfiltration is a result, not a
 	// stop condition — generic programs may keep processing afterwards.
-	poll := cfg.StallPoll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
-	maxWait := cfg.MaxWait
-	if maxWait <= 0 {
-		maxWait = 30 * time.Second
-	}
-	deadline := time.Now().Add(maxWait)
-	for r.pending.Load() != 0 {
-		if time.Now().After(deadline) {
-			close(r.stop)
-			wg.Wait()
-			return nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
-		}
-		time.Sleep(poll)
+	timeout := time.NewTimer(maxWait)
+	defer timeout.Stop()
+	select {
+	case <-r.quiet:
+	case <-timeout.C:
+		close(r.stop)
+		wg.Wait()
+		return nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
 	}
 	close(r.stop)
 	wg.Wait()

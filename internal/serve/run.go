@@ -19,10 +19,10 @@ import (
 
 // Seed-stream offsets, shared with cmd/wsnsim so a server mission and a
 // CLI run of the same spec consume identical randomness: the deployment
-// and field draw from Seed itself, blob shapes from Seed+2, the crash
-// schedule from Seed+3, the churn schedule from Seed+4.
+// and field draw from Seed itself, blob shapes from Seed+2 (inside
+// field.Named), the crash schedule from Seed+3, the churn schedule from
+// Seed+4.
 const (
-	seedField  = 2
 	seedCrash  = 3
 	seedChurn  = 4
 	deployTrys = 100
@@ -131,25 +131,6 @@ func engineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
 	return cfg, nil
 }
 
-// missionField mirrors cmd/wsnsim's phenomenon factory, seed stream
-// included, so "the same mission" means the same thing at the CLI and
-// over HTTP.
-func missionField(name string, grid *geom.Grid, seed int64) field.Field {
-	switch name {
-	case "blobs":
-		return field.RandomBlobs(4, grid.Terrain,
-			grid.Terrain.Width()/10, grid.Terrain.Width()/6,
-			rand.New(rand.NewSource(seed+seedField)))
-	case "gradient":
-		return field.Gradient{DX: 1.0 / grid.Terrain.Width() * 2}
-	case "stripes":
-		return field.Stripes{Width: grid.Terrain.Width() / 4, High: 1}
-	case "solid":
-		return field.Constant{Value: 1}
-	}
-	panic(fmt.Sprintf("serve: unvalidated field %q", name)) // Validate gates this
-}
-
 // Execute runs one validated, normalized mission and returns its
 // result document and canonical trace bytes. The result is a pure
 // function of the canonical spec — the contract the cache and the
@@ -167,8 +148,11 @@ func Execute(s *Spec, sink trace.Sink) (result, traceJSONL []byte, err error) {
 		if cerr != nil {
 			return nil, nil, cerr
 		}
-		phen := missionField(s.Field, grid, s.Seed)
-		m := field.Threshold(phen, grid, s.Thresh, 0)
+		mk, ferr := field.Named(s.Field)
+		if ferr != nil {
+			return nil, nil, ferr
+		}
+		m := field.Threshold(mk(grid.Terrain, s.Seed), grid, s.Thresh, 0)
 		res, rerr := shard.RunLabeling(m, shard.LabelConfig{Config: cfg})
 		if rerr != nil {
 			return nil, nil, rerr

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
-
-	"wsnva/internal/parallel"
 )
 
 // Admission errors, mapped to HTTP statuses by the handlers: a tenant
@@ -14,12 +14,15 @@ var (
 	ErrTenantBusy = errors.New("serve: tenant admission cap reached")
 	ErrQueueFull  = errors.New("serve: mission queue full")
 	ErrClosed     = errors.New("serve: scheduler closed")
+	// ErrPanicked wraps the value a mission panicked with; the handlers
+	// report it as a server error.
+	ErrPanicked = errors.New("serve: mission panicked")
 )
 
 // SchedConfig bounds the scheduler. Zero values select the defaults.
 type SchedConfig struct {
-	// Workers is the number of missions simulated concurrently — the
-	// parallel.Pool job budget (0 = GOMAXPROCS).
+	// Workers is the number of missions simulated concurrently
+	// (0 = GOMAXPROCS).
 	Workers int
 	// TenantSlots caps one tenant's outstanding (queued + running)
 	// missions; past it, Submit returns ErrTenantBusy (default 4).
@@ -41,14 +44,14 @@ func (c SchedConfig) withDefaults() SchedConfig {
 
 // Scheduler admits missions per tenant and dispatches them fairly:
 // admission is a per-tenant outstanding cap plus a global queue bound,
-// and dispatch round-robins one mission per tenant per turn onto the
-// parallel pool's job slots. A tenant with one queued mission therefore
+// and dispatch round-robins one mission per tenant per turn onto a free
+// worker goroutine. A tenant with one queued mission therefore
 // waits at most (active tenants - 1) dispatches regardless of how hard
 // another tenant floods its own queue — the no-starvation property the
 // race suite asserts.
 type Scheduler struct {
-	pool *parallel.Pool
-	cfg  SchedConfig
+	workers int
+	cfg     SchedConfig
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantQueue
@@ -76,14 +79,15 @@ type tenantQueue struct {
 	cancelled      int64
 }
 
-// Ticket is one admitted mission's handle: the scheduler-level
-// counterpart of parallel.Job, cancellable while still queued.
+// Ticket is one admitted mission's handle, cancellable while still
+// queued.
 type Ticket struct {
 	sched  *Scheduler
 	tq     *tenantQueue
 	run    func()
 	done   chan struct{}
-	queued bool // guarded by sched.mu
+	queued bool  // guarded by sched.mu
+	err    error // set before done closes
 }
 
 // Done returns a channel closed when the mission finished or the ticket
@@ -92,6 +96,10 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // Wait blocks until the mission finishes or the ticket is cancelled.
 func (t *Ticket) Wait() { <-t.done }
+
+// Err reports, once Done is closed, an error wrapping ErrPanicked if the
+// mission panicked, and nil otherwise.
+func (t *Ticket) Err() error { return t.err }
 
 // Cancel withdraws a still-queued mission and reports whether it will
 // never run. A mission already dispatched runs to completion — the
@@ -122,18 +130,22 @@ func (t *Ticket) Cancel() bool {
 	return true
 }
 
-// NewScheduler builds a scheduler over its own parallel pool.
+// NewScheduler builds a scheduler with its own worker budget.
 func NewScheduler(cfg SchedConfig) *Scheduler {
 	cfg = cfg.withDefaults()
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	return &Scheduler{
-		pool:    parallel.New(cfg.Workers),
+		workers: workers,
 		cfg:     cfg,
 		tenants: make(map[string]*tenantQueue),
 	}
 }
 
 // Workers reports the concurrent-mission budget.
-func (s *Scheduler) Workers() int { return s.pool.Workers() }
+func (s *Scheduler) Workers() int { return s.workers }
 
 // Submit admits run under the tenant's cap and the global queue bound,
 // enqueues it, and returns its ticket. The error is non-nil exactly
@@ -181,7 +193,7 @@ func (s *Scheduler) Submit(tenant string, run func()) (*Ticket, error) {
 // pump dispatches queued missions while worker budget remains, taking
 // one mission from each ring tenant in turn. Caller holds s.mu.
 func (s *Scheduler) pump() {
-	for s.inFlight < s.pool.Workers() && len(s.ring) > 0 {
+	for s.inFlight < s.workers && len(s.ring) > 0 {
 		if s.cursor >= len(s.ring) {
 			s.cursor = 0
 		}
@@ -200,10 +212,17 @@ func (s *Scheduler) pump() {
 			s.maxInFlight = s.inFlight
 		}
 		s.dispatched++
-		parallel.Submit(s.pool, func() {
+		go func() {
 			defer s.finish(t)
+			// A panicking mission releases its slot and fails its own
+			// ticket instead of taking the server down.
+			defer func() {
+				if r := recover(); r != nil {
+					t.err = fmt.Errorf("%w: %v", ErrPanicked, r)
+				}
+			}()
 			t.run()
-		})
+		}()
 	}
 }
 
@@ -269,7 +288,7 @@ func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SchedStats{
-		Workers:     s.pool.Workers(),
+		Workers:     s.workers,
 		TenantSlots: s.cfg.TenantSlots,
 		QueueBound:  s.cfg.QueueBound,
 		Queued:      s.queued,

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -210,6 +211,9 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 				ticket.Cancel()
 			}
 			ticket.Wait()
+			if err := ticket.Err(); err != nil {
+				f.err = err
+			}
 			s.mu.Lock()
 			delete(s.flights, digest)
 			s.mu.Unlock()
@@ -224,6 +228,10 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-f.done:
 	case <-r.Context().Done():
+		return
+	}
+	if errors.Is(f.err, ErrPanicked) {
+		writeError(w, http.StatusInternalServerError, f.err)
 		return
 	}
 	if f.err != nil {

@@ -28,6 +28,7 @@ import (
 	"io"
 
 	"wsnva/internal/fault"
+	"wsnva/internal/field"
 	"wsnva/internal/geom"
 )
 
@@ -215,10 +216,8 @@ func (s *Spec) Validate() error {
 	}
 	switch s.Workload {
 	case "labeling":
-		switch s.Field {
-		case "blobs", "gradient", "stripes", "solid":
-		default:
-			return fmt.Errorf("serve: unknown field %q (want blobs, gradient, stripes, or solid)", s.Field)
+		if _, err := field.Named(s.Field); err != nil {
+			return fmt.Errorf("serve: %w", err)
 		}
 		if !(s.Thresh > 0 && s.Thresh < 1) {
 			return fmt.Errorf("serve: threshold %v out of (0,1)", s.Thresh)

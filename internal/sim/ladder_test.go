@@ -18,7 +18,6 @@ type kernelAPI interface {
 	Run() Time
 	RunUntil(deadline Time) bool
 	Now() Time
-	Pending() int
 	Fired() int64
 }
 
@@ -223,8 +222,8 @@ func TestWindowReanchorOnEmpty(t *testing.T) {
 	}
 	fired := false
 	k.After(7, func() { fired = true })
-	if k.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", k.Pending())
+	if k.npend != 1 {
+		t.Fatalf("Pending = %d, want 1", k.npend)
 	}
 	k.Run()
 	if !fired {
@@ -240,9 +239,9 @@ func TestWindowReanchorOnEmpty(t *testing.T) {
 func TestCancelOwnerAcrossTiers(t *testing.T) {
 	k := New()
 	var fired []int
-	k.AtOwned(4, 10, func() { fired = append(fired, 10) })      // bucket tier
-	k.AtOwned(4, 9000, func() { fired = append(fired, 9000) })  // overflow rung
-	k.AtOwned(5, 11, func() { fired = append(fired, 11) })      // survivor
+	k.AtOwned(4, 10, func() { fired = append(fired, 10) })     // bucket tier
+	k.AtOwned(4, 9000, func() { fired = append(fired, 9000) }) // overflow rung
+	k.AtOwned(5, 11, func() { fired = append(fired, 11) })     // survivor
 	k.AtOwned(5, 9001, func() { fired = append(fired, 9001) }) // survivor
 	if n := k.CancelOwner(4); n != 2 {
 		t.Fatalf("CancelOwner cancelled %d, want 2", n)

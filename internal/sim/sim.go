@@ -162,9 +162,6 @@ func (k *Kernel) Now() Time { return k.now }
 // Fired returns the number of events executed so far.
 func (k *Kernel) Fired() int64 { return k.fired }
 
-// Pending returns the number of events still queued.
-func (k *Kernel) Pending() int { return k.npend }
-
 // At schedules fire to run at absolute time t and returns the event handle.
 // Scheduling into the past panics: it is always a protocol bug.
 func (k *Kernel) At(t Time, fire func()) Handle {
@@ -474,18 +471,6 @@ func (k *Kernel) RunUntil(deadline Time) bool {
 	}
 	if k.now < deadline {
 		k.now = deadline
-	}
-	return k.npend == 0
-}
-
-// RunLimited fires at most maxEvents events and reports whether the queue
-// drained. It is the guard rail for protocols that could livelock under a
-// buggy configuration.
-func (k *Kernel) RunLimited(maxEvents int64) bool {
-	for i := int64(0); i < maxEvents; i++ {
-		if !k.Step() {
-			return true
-		}
 	}
 	return k.npend == 0
 }

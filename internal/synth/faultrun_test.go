@@ -110,7 +110,13 @@ func TestRunWithFaultsRegionKill(t *testing.T) {
 	m := blobMap(8, 29)
 	vm := faultMachine(m)
 	g := vm.Grid()
-	sched := fault.Region(g, geom.Coord{Col: 6, Row: 0}, geom.Coord{Col: 7, Row: 1}, 1)
+	var zone []fault.Crash
+	for row := 0; row <= 1; row++ {
+		for col := 6; col <= 7; col++ {
+			zone = append(zone, fault.Crash{Node: g.Index(geom.Coord{Col: col, Row: row}), At: 1})
+		}
+	}
+	sched := fault.At(zone...)
 	res, err := RunWithFaults(vm, m, FaultConfig{
 		Schedule:      sched,
 		LevelDeadline: DefaultLevelDeadline(vm),

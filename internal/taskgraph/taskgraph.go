@@ -76,33 +76,8 @@ func (g *Graph) AddEdge(producer, consumer int) {
 // N returns the number of tasks.
 func (g *Graph) N() int { return len(g.Tasks) }
 
-// Succ returns the consumers of task id. Callers must not modify it.
-func (g *Graph) Succ(id int) []int { return g.succ[id] }
-
 // Pred returns the producers of task id. Callers must not modify it.
 func (g *Graph) Pred(id int) []int { return g.pred[id] }
-
-// Leaves returns the IDs of tasks with no predecessors, sorted.
-func (g *Graph) Leaves() []int {
-	var out []int
-	for id := range g.Tasks {
-		if len(g.pred[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Roots returns the IDs of tasks with no successors, sorted.
-func (g *Graph) Roots() []int {
-	var out []int
-	for id := range g.Tasks {
-		if len(g.succ[id]) == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 // SensingTasks returns the IDs of all sensing tasks, sorted.
 func (g *Graph) SensingTasks() []int {
@@ -168,50 +143,6 @@ func (g *Graph) Topological() ([]int, error) {
 	return order, nil
 }
 
-// Depth returns the number of edges on the longest path ending at each
-// task — 0 for leaves. For an aggregation tree this recovers the level.
-func (g *Graph) Depth() []int {
-	order, err := g.Topological()
-	if err != nil {
-		panic(err)
-	}
-	depth := make([]int, g.N())
-	for _, id := range order {
-		for _, p := range g.pred[id] {
-			if depth[p]+1 > depth[id] {
-				depth[id] = depth[p] + 1
-			}
-		}
-	}
-	return depth
-}
-
-// CriticalPathUnits returns the largest sum of OutUnits along any
-// producer→…→root path — the lower bound on pipeline latency that the
-// mapping stage's analysis starts from.
-func (g *Graph) CriticalPathUnits() int64 {
-	order, err := g.Topological()
-	if err != nil {
-		panic(err)
-	}
-	best := make([]int64, g.N())
-	var overall int64
-	for _, id := range order {
-		best[id] = g.Tasks[id].OutUnits
-		var in int64
-		for _, p := range g.pred[id] {
-			if best[p] > in {
-				in = best[p]
-			}
-		}
-		best[id] += in
-		if best[id] > overall {
-			overall = best[id]
-		}
-	}
-	return overall
-}
-
 // Tree describes a regular aggregation tree: every interior task has Arity
 // children and the leaves sit at level 0. Levels[l] lists the task IDs at
 // level l, each in the deterministic child order the builder used.
@@ -275,12 +206,3 @@ func (t *Tree) Root() int { return t.Levels[t.Height][0] }
 // ChildrenOf returns the child task IDs of an interior tree task, in the
 // builder's deterministic order.
 func (t *Tree) ChildrenOf(id int) []int { return t.Pred(id) }
-
-// ParentOf returns the parent of a non-root tree task, or -1 for the root.
-func (t *Tree) ParentOf(id int) int {
-	s := t.Succ(id)
-	if len(s) == 0 {
-		return -1
-	}
-	return s[0]
-}

@@ -10,7 +10,7 @@ func TestAddTaskAndEdge(t *testing.T) {
 	if g.N() != 2 {
 		t.Errorf("N = %d", g.N())
 	}
-	if len(g.Succ(a)) != 1 || g.Succ(a)[0] != b {
+	if len(g.succ[a]) != 1 || g.succ[a][0] != b {
 		t.Error("succ wrong")
 	}
 	if len(g.Pred(b)) != 1 || g.Pred(b)[0] != a {
@@ -38,11 +38,18 @@ func TestEdgePanics(t *testing.T) {
 
 func TestLeavesRootsSensing(t *testing.T) {
 	tr := QuadTree(2, 1)
-	leaves := tr.Leaves()
+	var leaves, roots []int
+	for id := range tr.Tasks {
+		if len(tr.Pred(id)) == 0 {
+			leaves = append(leaves, id)
+		}
+		if len(tr.succ[id]) == 0 {
+			roots = append(roots, id)
+		}
+	}
 	if len(leaves) != 16 {
 		t.Errorf("leaves = %d, want 16", len(leaves))
 	}
-	roots := tr.Roots()
 	if len(roots) != 1 || roots[0] != tr.Root() {
 		t.Errorf("roots = %v", roots)
 	}
@@ -87,12 +94,12 @@ func TestQuadTreeMatchesFigure2(t *testing.T) {
 
 func TestParentOf(t *testing.T) {
 	tr := QuadTree(1, 1)
-	if tr.ParentOf(tr.Root()) != -1 {
-		t.Error("root has no parent")
+	if s := tr.succ[tr.Root()]; len(s) != 0 {
+		t.Errorf("root has consumers %v", s)
 	}
 	for _, leaf := range tr.Levels[0] {
-		if tr.ParentOf(leaf) != tr.Root() {
-			t.Errorf("leaf %d parent = %d", leaf, tr.ParentOf(leaf))
+		if s := tr.succ[leaf]; len(s) != 1 || s[0] != tr.Root() {
+			t.Errorf("leaf %d consumers = %v, want only the root", leaf, s)
 		}
 	}
 }
@@ -143,7 +150,7 @@ func TestTopologicalOrder(t *testing.T) {
 		pos[id] = i
 	}
 	for id := range tr.Tasks {
-		for _, s := range tr.Succ(id) {
+		for _, s := range tr.succ[id] {
 			if pos[id] >= pos[s] {
 				t.Errorf("edge %d->%d violates topological order", id, s)
 			}
@@ -181,32 +188,27 @@ func TestValidateKindRules(t *testing.T) {
 }
 
 func TestDepthMatchesLevels(t *testing.T) {
+	// The level the builder assigns is the longest producer chain
+	// ending at the task.
 	tr := QuadTree(3, 1)
-	depth := tr.Depth()
+	order, err := tr.Topological()
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := make([]int, tr.N())
+	for _, id := range order {
+		for _, p := range tr.Pred(id) {
+			if depth[p]+1 > depth[id] {
+				depth[id] = depth[p] + 1
+			}
+		}
+	}
 	for l, ids := range tr.Levels {
 		for _, id := range ids {
 			if depth[id] != l {
 				t.Errorf("task %d: depth %d, level %d", id, depth[id], l)
 			}
 		}
-	}
-}
-
-func TestCriticalPathUnits(t *testing.T) {
-	// Chain of three tasks with outputs 5, 3, 2: critical path = 10.
-	g := New()
-	a := g.AddTask(Sensing, 0, 0, 5)
-	b := g.AddTask(Processing, 1, 5, 3)
-	c := g.AddTask(Processing, 2, 3, 2)
-	g.AddEdge(a, b)
-	g.AddEdge(b, c)
-	if got := g.CriticalPathUnits(); got != 10 {
-		t.Errorf("critical path = %d, want 10", got)
-	}
-	// Quad-tree of height h with unit outputs: h+1 units.
-	tr := QuadTree(3, 1)
-	if got := tr.CriticalPathUnits(); got != 4 {
-		t.Errorf("quad-tree critical path = %d, want 4", got)
 	}
 }
 

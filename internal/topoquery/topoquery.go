@@ -183,129 +183,6 @@ func (s *Store) CountInBox(level int, box regions.BBox, sink geom.Coord, model *
 	return count, qc
 }
 
-// TotalFeatureCells answers "how many feature cells are there?" — the
-// aggregate the paper's resource-management queries (residual energy
-// levels, etc.) share a shape with. It needs only per-leader counts, so
-// responses are constant-size.
-func (s *Store) TotalFeatureCells(level int, sink geom.Coord, model *cost.Model) (int, QueryCost) {
-	var qc QueryCost
-	total := 0
-	for _, leader := range s.Hier.Leaders(level) {
-		sum := s.byLevel[level][leader]
-		qc.charge(model, sink, leader, 1)
-		total += sum.TotalCells()
-	}
-	return total, qc
-}
-
-// PlanCount picks the storage level that minimizes the chosen objective
-// for a CountRegions query from sink, by costing every level against the
-// stored summaries (a dry run — nothing is charged). This is the query
-// planner the end user was promised: they pick the metric, the middleware
-// picks the plan.
-func (s *Store) PlanCount(sink geom.Coord, model *cost.Model, objective Objective) (level int, predicted QueryCost) {
-	best := -1
-	var bestCost QueryCost
-	for l := 0; l <= s.Hier.Levels; l++ {
-		var qc QueryCost
-		for _, leader := range s.Hier.Leaders(l) {
-			qc.charge(model, sink, leader, s.byLevel[l][leader].Size())
-			qc.Energy += model.EnergyOf(cost.Compute, s.byLevel[l][leader].Size())
-		}
-		if best == -1 || objective(qc) < objective(bestCost) {
-			best, bestCost = l, qc
-		}
-	}
-	return best, bestCost
-}
-
-// Objective scores a predicted query cost; lower is better.
-type Objective func(QueryCost) float64
-
-// MinEnergy prefers the cheapest plan in total energy.
-func MinEnergy(qc QueryCost) float64 { return float64(qc.Energy) }
-
-// MinLatency prefers the fastest plan, breaking ties by energy.
-func MinLatency(qc QueryCost) float64 {
-	return float64(qc.Latency)*1e6 + float64(qc.Energy)
-}
-
-// Standing is a continuous count query: the sink subscribes once, caches
-// each storage node's summary, and on every epoch only the leaders whose
-// summaries actually changed push an update — the push-on-change pattern
-// that amortizes repeated topographic queries over slowly evolving fields
-// (Section 3.1 decouples query processing from gathering for exactly this
-// reason). The count stays exact because the sink re-merges its cache.
-type Standing struct {
-	hier   *varch.Hierarchy
-	level  int
-	sink   geom.Coord
-	cached map[geom.Coord]*regions.Summary
-}
-
-// NewStanding registers a continuous count query at the given storage
-// level, answered at sink.
-func NewStanding(h *varch.Hierarchy, level int, sink geom.Coord) *Standing {
-	if level < 0 || level > h.Levels {
-		panic(fmt.Sprintf("topoquery: level %d out of range", level))
-	}
-	return &Standing{
-		hier:   h,
-		level:  level,
-		sink:   sink,
-		cached: make(map[geom.Coord]*regions.Summary),
-	}
-}
-
-// Update feeds the epoch's store into the standing query: changed leaders
-// push their new summary to the sink (charged), unchanged leaders stay
-// silent (free), and the sink recomputes the count from its cache. It
-// returns the exact count, the epoch's communication cost, and how many
-// leaders pushed.
-func (sq *Standing) Update(st *Store, model *cost.Model) (count int, qc QueryCost, changed int) {
-	if st.Hier != sq.hier {
-		panic("topoquery: standing query bound to a different hierarchy")
-	}
-	for _, leader := range sq.hier.Leaders(sq.level) {
-		fresh := st.byLevel[sq.level][leader]
-		prev, ok := sq.cached[leader]
-		if ok && prev.Equal(fresh) {
-			continue
-		}
-		changed++
-		sq.cached[leader] = fresh.Clone()
-		// Push: no request leg; the leader ships its summary unsolicited.
-		hops := int64(sq.sink.Manhattan(leader))
-		qc.Contacts++
-		if hops > 0 {
-			perUnit := model.EnergyOf(cost.Tx, 1) + model.EnergyOf(cost.Rx, 1)
-			qc.Energy += cost.Energy(hops) * perUnit * cost.Energy(fresh.Size())
-			if lat := sim.Time(hops) * sim.Time(model.TxLatency(fresh.Size())); lat > qc.Latency {
-				qc.Latency = lat
-			}
-		}
-	}
-	// Sink-side re-merge of the cache.
-	var acc *regions.Summary
-	for _, leader := range sq.hier.Leaders(sq.level) {
-		s, ok := sq.cached[leader]
-		if !ok {
-			continue
-		}
-		qc.Energy += model.EnergyOf(cost.Compute, s.Size())
-		c := s.Clone()
-		if acc == nil {
-			acc = c
-		} else {
-			acc.Merge(c)
-		}
-	}
-	if acc == nil {
-		return 0, qc, changed
-	}
-	return acc.Count(), qc, changed
-}
-
 func boxesIntersect(a, b regions.BBox) bool {
 	return a.MinCol <= b.MaxCol && b.MinCol <= a.MaxCol &&
 		a.MinRow <= b.MaxRow && b.MinRow <= a.MaxRow

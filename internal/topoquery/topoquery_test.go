@@ -157,128 +157,6 @@ func TestCountInBox(t *testing.T) {
 	}
 }
 
-func TestTotalFeatureCells(t *testing.T) {
-	st, m := store8(t, 11)
-	for level := 0; level <= st.Hier.Levels; level++ {
-		got, qc := st.TotalFeatureCells(level, geom.Coord{}, cost.NewUniform())
-		if got != m.Count() {
-			t.Errorf("level %d: total %d, want %d", level, got, m.Count())
-		}
-		if level == 0 && qc.Contacts != 64 {
-			t.Errorf("level 0 contacts = %d", qc.Contacts)
-		}
-	}
-}
-
-func TestPlanCountMatchesBruteForce(t *testing.T) {
-	st, _ := store8(t, 15)
-	model := cost.NewUniform()
-	for _, sink := range []geom.Coord{{}, {Col: 7, Row: 7}, {Col: 3, Row: 4}} {
-		for name, obj := range map[string]Objective{"energy": MinEnergy, "latency": MinLatency} {
-			level, predicted := st.PlanCount(sink, model, obj)
-			// Brute force: cost every level via the real query and confirm
-			// the plan's level is optimal under the objective.
-			bestScore := -1.0
-			for l := 0; l <= st.Hier.Levels; l++ {
-				_, qc := st.CountRegions(l, sink, model)
-				if s := obj(qc); bestScore < 0 || s < bestScore {
-					bestScore = s
-				}
-			}
-			_, actual := st.CountRegions(level, sink, model)
-			if obj(actual) != bestScore {
-				t.Errorf("sink %v %s: plan picked level %d (score %v), best %v",
-					sink, name, level, obj(actual), bestScore)
-			}
-			if predicted.Energy != actual.Energy || predicted.Latency != actual.Latency {
-				t.Errorf("sink %v %s: prediction %+v != actual %+v", sink, name, predicted, actual)
-			}
-		}
-	}
-}
-
-func TestPlanCountPrefersRootAtRootSink(t *testing.T) {
-	st, _ := store8(t, 17)
-	// Querying from the root: the top level stores everything locally, so
-	// both objectives must pick it.
-	for _, obj := range []Objective{MinEnergy, MinLatency} {
-		if level, _ := st.PlanCount(geom.Coord{}, cost.NewUniform(), obj); level != st.Hier.Levels {
-			t.Errorf("plan from the root picked level %d, want %d", level, st.Hier.Levels)
-		}
-	}
-}
-
-func TestStandingQueryExactAndIncremental(t *testing.T) {
-	g := geom.NewSquareGrid(8, 8)
-	h := varch.MustHierarchy(g)
-	model := cost.NewUniform()
-	sink := geom.Coord{}
-	sq := NewStanding(h, 1, sink)
-
-	// A slow plume: only a few level-1 blocks change per epoch.
-	plume := field.Blobs{Items: []field.Blob{
-		{Center: geom.Point{X: 1.5, Y: 4}, Sigma: 1.2, Peak: 1, Drift: geom.Point{X: 0.002}},
-	}}
-	var firstCost, laterCost cost.Energy
-	for epoch := 0; epoch < 6; epoch++ {
-		m := field.Threshold(plume, g, 0.5, int64(epoch*300))
-		st := BuildStore(h, m)
-		count, qc, changed := sq.Update(st, model)
-		truth := regions.Label(m).Count
-		if count != truth {
-			t.Fatalf("epoch %d: standing count %d, truth %d", epoch, count, truth)
-		}
-		if epoch == 0 {
-			firstCost = qc.Energy
-			if changed != 16 {
-				t.Errorf("first epoch must push all 16 level-1 leaders, pushed %d", changed)
-			}
-		} else {
-			laterCost += qc.Energy
-			if changed > 8 {
-				t.Errorf("epoch %d: %d leaders changed for a slow plume", epoch, changed)
-			}
-		}
-	}
-	if laterCost/5 >= firstCost {
-		t.Errorf("steady-state epoch cost %d should undercut the first epoch %d", laterCost/5, firstCost)
-	}
-}
-
-func TestStandingQueryStaticFieldFree(t *testing.T) {
-	g := geom.NewSquareGrid(8, 8)
-	h := varch.MustHierarchy(g)
-	m := field.Threshold(field.RandomBlobs(3, g.Terrain, 1, 2, rand.New(rand.NewSource(3))), g, 0.5, 0)
-	sq := NewStanding(h, 1, geom.Coord{Col: 7, Row: 7})
-	st := BuildStore(h, m)
-	_, first, _ := sq.Update(st, cost.NewUniform())
-	// Same field again: nothing pushes; only the sink's re-merge compute.
-	count, second, changed := sq.Update(BuildStore(h, m), cost.NewUniform())
-	if changed != 0 {
-		t.Errorf("static field pushed %d updates", changed)
-	}
-	if second.Latency != 0 {
-		t.Error("no pushes means no communication latency")
-	}
-	if second.Energy >= first.Energy {
-		t.Errorf("steady epoch energy %d should be below first %d", second.Energy, first.Energy)
-	}
-	if count != regions.Label(m).Count {
-		t.Error("count drifted on a static field")
-	}
-}
-
-func TestStandingQueryValidation(t *testing.T) {
-	g := geom.NewSquareGrid(4, 4)
-	h := varch.MustHierarchy(g)
-	defer func() {
-		if recover() == nil {
-			t.Error("bad level should panic")
-		}
-	}()
-	NewStanding(h, 9, geom.Coord{})
-}
-
 func TestBuildStorePanicsOnGridMismatch(t *testing.T) {
 	g1 := geom.NewSquareGrid(4, 4)
 	g2 := geom.NewSquareGrid(4, 4)

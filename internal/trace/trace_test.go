@@ -10,7 +10,7 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(1, Send, "a", "x") // must not panic
+	emit(tr, 1, Send, "a", "x") // must not panic
 	if tr.Count(Send) != 0 {
 		t.Error("nil tracer count should be 0")
 	}
@@ -21,9 +21,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestEmitAndEvents(t *testing.T) {
 	tr := New(10)
-	tr.Emit(1, Send, "<0,0>", "-> <1,0>")
-	tr.Emit(3, Deliver, "<1,0>", "<- <0,0>")
-	tr.Emit(3, RuleFire, "<1,0>", "receive")
+	emit(tr, 1, Send, "<0,0>", "-> <1,0>")
+	emit(tr, 3, Deliver, "<1,0>", "<- <0,0>")
+	emit(tr, 3, RuleFire, "<1,0>", "receive")
 	evts := tr.Events()
 	if len(evts) != 3 {
 		t.Fatalf("got %d events", len(evts))
@@ -39,7 +39,7 @@ func TestEmitAndEvents(t *testing.T) {
 func TestRingRotation(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(1, Compute, "n", string(rune('a'+i)))
+		emit(tr, 1, Compute, "n", string(rune('a'+i)))
 	}
 	evts := tr.Events()
 	if len(evts) != 4 {
@@ -58,7 +58,7 @@ func TestRingRotation(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	tr := New(8)
-	tr.Emit(5, Exfiltrate, "<0,0>", "final summary")
+	emit(tr, 5, Exfiltrate, "<0,0>", "final summary")
 	line := tr.Timeline()
 	for _, want := range []string{"t=5", "exfil", "<0,0>", "final summary"} {
 		if !strings.Contains(line, want) {
@@ -108,8 +108,8 @@ func TestEmitEventSeqAndWraparound(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		tr.EmitEvent(Event{At: sim.Time(i), Kind: Tx, ID: i, Bytes: int64(i)})
 	}
-	if tr.Emitted() != 7 {
-		t.Errorf("Emitted = %d, want 7", tr.Emitted())
+	if tr.emitted != 7 {
+		t.Errorf("Emitted = %d, want 7", tr.emitted)
 	}
 	if tr.Lost() != 4 {
 		t.Errorf("Lost = %d, want 4", tr.Lost())
@@ -142,8 +142,8 @@ func TestCompleteTraceHasNoLoss(t *testing.T) {
 func TestNilTracerStructuredPaths(t *testing.T) {
 	var tr *Tracer
 	tr.EmitEvent(Event{Kind: Tx})
-	if tr.Emitted() != 0 || tr.Lost() != 0 {
-		t.Error("nil tracer must report zero emitted/lost")
+	if tr.Lost() != 0 {
+		t.Error("nil tracer must report zero lost")
 	}
 	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
@@ -167,8 +167,8 @@ func TestConcurrentEmit(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Emitted() != workers*per {
-		t.Errorf("Emitted = %d, want %d", tr.Emitted(), workers*per)
+	if tr.emitted != workers*per {
+		t.Errorf("Emitted = %d, want %d", tr.emitted, workers*per)
 	}
 	if tr.Count(Send) != workers*per {
 		t.Errorf("Count = %d, want %d", tr.Count(Send), workers*per)
@@ -236,7 +236,7 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 	sink := &collectSink{}
 	tr.SetSink(sink)
 	for i := 0; i < 5; i++ {
-		tr.Emit(sim.Time(i), Send, "n", "x")
+		emit(tr, sim.Time(i), Send, "n", "x")
 	}
 	if len(sink.events) != 5 {
 		t.Fatalf("sink saw %d events, want 5", len(sink.events))
@@ -247,11 +247,18 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 		}
 	}
 	tr.SetSink(nil)
-	tr.Emit(9, Send, "n", "x")
+	emit(tr, 9, Send, "n", "x")
 	if len(sink.events) != 5 {
 		t.Errorf("detached sink still saw events")
 	}
 	// nil-tracer safety mirrors the rest of the API.
 	var nilT *Tracer
 	nilT.SetSink(sink)
+}
+
+// emit records a free-form event the way the early engines did: no
+// coordinates, no peer, only a detail string.
+func emit(tr *Tracer, at sim.Time, kind Kind, node, detail string) {
+	tr.EmitEvent(Event{At: at, Kind: kind, Node: node, Detail: detail,
+		ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1})
 }

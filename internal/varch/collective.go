@@ -22,8 +22,8 @@ import (
 //
 //   - Direct: every member sends its value straight to the leader.
 //   - Convergecast: values climb the group hierarchy one level at a time,
-//     with sub-leaders combining (for Sum/Min/Max) or concatenating (for
-//     Sort/Rank) before forwarding.
+//     with sub-leaders combining (for Sum) or concatenating (for Sort)
+//     before forwarding.
 //
 // For aggregations with constant-size partial results, convergecast trades
 // a logarithmic latency factor for a large energy saving on big groups;
@@ -63,28 +63,6 @@ func (vm *Machine) emitGroup(leader geom.Coord, level int, prim string, strat St
 func (vm *Machine) GroupSum(leader geom.Coord, level int, vals Values, strat Strategy) (int64, sim.Time) {
 	vm.emitGroup(leader, level, "sum", strat)
 	return vm.reduce(leader, level, vals, strat, func(a, b int64) int64 { return a + b })
-}
-
-// GroupMin gathers the minimum of the members' values at the leader.
-func (vm *Machine) GroupMin(leader geom.Coord, level int, vals Values, strat Strategy) (int64, sim.Time) {
-	vm.emitGroup(leader, level, "min", strat)
-	return vm.reduce(leader, level, vals, strat, func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// GroupMax gathers the maximum of the members' values at the leader.
-func (vm *Machine) GroupMax(leader geom.Coord, level int, vals Values, strat Strategy) (int64, sim.Time) {
-	vm.emitGroup(leader, level, "max", strat)
-	return vm.reduce(leader, level, vals, strat, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
 }
 
 // reduce runs a combining gather: partial results are a single data unit
@@ -215,21 +193,6 @@ func (vm *Machine) GroupSort(leader geom.Coord, level int, vals Values, strat St
 	latency += vm.Compute(leader, work)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, latency
-}
-
-// GroupRank returns the rank (1-based position in ascending order) that
-// value would occupy among the group's values, i.e. 1 + |{v : v < value}|.
-// Communication is identical to a sum gather: each member contributes a
-// 0/1 indicator.
-func (vm *Machine) GroupRank(leader geom.Coord, level int, vals Values, value int64, strat Strategy) (int64, sim.Time) {
-	vm.emitGroup(leader, level, "rank", strat)
-	below, lat := vm.reduce(leader, level, func(c geom.Coord) int64 {
-		if vals(c) < value {
-			return 1
-		}
-		return 0
-	}, strat, func(a, b int64) int64 { return a + b })
-	return below + 1, lat
 }
 
 // chargeRoute charges a size-unit message along the XY route from one node

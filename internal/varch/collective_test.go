@@ -39,18 +39,6 @@ func TestGroupSumSubBlock(t *testing.T) {
 	}
 }
 
-func TestGroupMinMax(t *testing.T) {
-	vm, _, _ := newVM(t, 4)
-	g := vm.Grid()
-	for _, strat := range []Strategy{Direct, Convergecast} {
-		mn, _ := vm.GroupMin(vm.Hier.Root(), 2, valByIndex(g), strat)
-		mx, _ := vm.GroupMax(vm.Hier.Root(), 2, valByIndex(g), strat)
-		if mn != 0 || mx != 15 {
-			t.Errorf("%v: min/max = %d/%d, want 0/15", strat, mn, mx)
-		}
-	}
-}
-
 func TestConvergecastSavesEnergyOnReduction(t *testing.T) {
 	// For single-unit reductions over a large group, convergecast must beat
 	// direct on total energy: direct pays Manhattan distance per member,
@@ -86,27 +74,6 @@ func TestGroupSortBothStrategies(t *testing.T) {
 		}
 		if lat <= 0 {
 			t.Errorf("%v: nonpositive latency", strat)
-		}
-	}
-}
-
-func TestGroupRank(t *testing.T) {
-	vm, _, _ := newVM(t, 4)
-	g := vm.Grid()
-	vals := valByIndex(g)
-	for _, strat := range []Strategy{Direct, Convergecast} {
-		// 5 values (0..4) are below 5, so 5 ranks 6th.
-		rank, _ := vm.GroupRank(vm.Hier.Root(), 2, vals, 5, strat)
-		if rank != 6 {
-			t.Errorf("%v: rank = %d, want 6", strat, rank)
-		}
-		rank, _ = vm.GroupRank(vm.Hier.Root(), 2, vals, 0, strat)
-		if rank != 1 {
-			t.Errorf("%v: rank of minimum = %d, want 1", strat, rank)
-		}
-		rank, _ = vm.GroupRank(vm.Hier.Root(), 2, vals, 999, strat)
-		if rank != 17 {
-			t.Errorf("%v: rank above all = %d, want 17", strat, rank)
 		}
 	}
 }

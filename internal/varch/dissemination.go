@@ -71,22 +71,3 @@ func (vm *Machine) GroupBroadcast(leader geom.Coord, level int, size int64, payl
 	}
 	return total
 }
-
-// Barrier synchronizes a level-k group: every member contributes one unit
-// up the hierarchy (convergecast) and the leader releases the group with a
-// unit broadcast back down. Returns the modeled latency of the full
-// round trip — the group cannot proceed before it. The paper's synchronous
-// execution regime (TDMA) can be built from exactly this primitive.
-func (vm *Machine) Barrier(leader geom.Coord, level int) sim.Time {
-	// Up phase: reuse the reduction gather at unit size.
-	_, up := vm.GroupSum(leader, level, func(geom.Coord) int64 { return 1 }, Convergecast)
-	// Down phase: unit release message along the same structure.
-	down := vm.GroupBroadcast(leader, level, 1, barrierRelease{leader: leader, level: level})
-	return up + down
-}
-
-// barrierRelease is the payload delivered to members when a barrier opens.
-type barrierRelease struct {
-	leader geom.Coord
-	level  int
-}

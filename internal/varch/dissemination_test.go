@@ -77,44 +77,3 @@ func TestGroupBroadcastNonLeaderPanics(t *testing.T) {
 	}()
 	vm.GroupBroadcast(geom.Coord{Col: 1, Row: 0}, 1, 1, nil)
 }
-
-func TestBarrier(t *testing.T) {
-	vm, k, l := newVM(t, 8)
-	h := vm.Hier
-	released := 0
-	for _, m := range h.Followers(h.Root(), 3) {
-		vm.Handle(m, func(msg Message) {
-			if rel, ok := msg.Payload.(barrierRelease); ok {
-				if rel.level != 3 {
-					t.Errorf("release level = %d", rel.level)
-				}
-				released++
-			}
-		})
-	}
-	lat := vm.Barrier(h.Root(), 3)
-	k.Run()
-	if released != 64 {
-		t.Errorf("released %d members, want 64", released)
-	}
-	if lat <= 0 || l.Metrics().Total <= 0 {
-		t.Error("barrier must cost time and energy")
-	}
-	// A barrier is a round trip: it must cost at least twice the one-way
-	// worst member distance.
-	if int64(lat) < 2*int64(h.MaxFollowerDistance(3))/2 {
-		t.Errorf("latency %d implausibly small", lat)
-	}
-}
-
-func TestBarrierLevelZeroTrivial(t *testing.T) {
-	vm, k, l := newVM(t, 4)
-	lat := vm.Barrier(geom.Coord{Col: 2, Row: 2}, 0)
-	k.Run()
-	if lat != 0 {
-		t.Errorf("level-0 barrier latency = %d, want 0", lat)
-	}
-	if l.Metrics().Total != 0 {
-		t.Error("level-0 barrier should be free")
-	}
-}

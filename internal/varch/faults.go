@@ -114,9 +114,6 @@ func (vm *Machine) Kill(node int) {
 	}
 }
 
-// KillCoord is Kill addressed by grid coordinate.
-func (vm *Machine) KillCoord(c geom.Coord) { vm.Kill(vm.Hier.Grid.Index(c)) }
-
 // Alive reports whether the virtual node at c is still up.
 func (vm *Machine) Alive(c geom.Coord) bool {
 	return vm.aliveIdx(vm.Hier.Grid.Index(c))

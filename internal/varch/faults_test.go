@@ -15,7 +15,7 @@ func TestDeadSenderSuppressed(t *testing.T) {
 	dst := geom.Coord{Col: 3, Row: 0}
 	delivered := false
 	vm.Handle(dst, func(Message) { delivered = true })
-	vm.KillCoord(src)
+	vm.Kill(vm.Hier.Grid.Index(src))
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	if delivered {
@@ -38,7 +38,7 @@ func TestDeadReceiverDropsDelivery(t *testing.T) {
 	dst := geom.Coord{Col: 3, Row: 0}
 	delivered := false
 	vm.Handle(dst, func(Message) { delivered = true })
-	vm.KillCoord(dst)
+	vm.Kill(vm.Hier.Grid.Index(dst))
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	if delivered {
@@ -140,7 +140,7 @@ func TestReliabilityGivesUpAfterMaxRetries(t *testing.T) {
 	vm.SetReliability(fault.Reliability{MaxRetries: 3, Timeout: 8, MaxBackoff: 64})
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 3}
-	vm.KillCoord(dst)
+	vm.Kill(vm.Hier.Grid.Index(dst))
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	s := vm.FaultStats()
@@ -160,14 +160,14 @@ func TestActingLeaderPromotion(t *testing.T) {
 	if got := vm.ActingLeaderAt(member, 2); got != leader {
 		t.Fatalf("acting leader = %v with everyone alive, want %v", got, leader)
 	}
-	vm.KillCoord(leader)
+	vm.Kill(vm.Hier.Grid.Index(leader))
 	// Row-major promotion order: (1,0) is the next block member.
 	if got := vm.ActingLeaderAt(member, 2); got != (geom.Coord{Col: 1, Row: 0}) {
 		t.Errorf("acting leader = %v, want (1,0)", got)
 	}
 	// Kill the whole first row; promotion continues in row-major order.
 	for col := 1; col < 4; col++ {
-		vm.KillCoord(geom.Coord{Col: col, Row: 0})
+		vm.Kill(vm.Hier.Grid.Index(geom.Coord{Col: col, Row: 0}))
 	}
 	if got := vm.ActingLeaderAt(member, 2); got != (geom.Coord{Col: 0, Row: 1}) {
 		t.Errorf("acting leader = %v, want (0,1)", got)
@@ -185,7 +185,7 @@ func TestSendToLeaderFailsOver(t *testing.T) {
 	member := geom.Coord{Col: 2, Row: 2}
 	leader := vm.Hier.LeaderAt(member, 2)
 	acting := geom.Coord{Col: 1, Row: 0}
-	vm.KillCoord(leader)
+	vm.Kill(vm.Hier.Grid.Index(leader))
 	got := geom.Coord{Col: -1, Row: -1}
 	vm.Handle(acting, func(m Message) { got = m.From })
 	vm.SendToLeader(member, 2, 1, nil)
@@ -200,7 +200,7 @@ func TestGroupSumSkipsDeadMembers(t *testing.T) {
 		vm, _, _ := newVM(t, 4)
 		leader := geom.Coord{Col: 0, Row: 0}
 		dead := geom.Coord{Col: 3, Row: 3}
-		vm.KillCoord(dead)
+		vm.Kill(vm.Hier.Grid.Index(dead))
 		sum, _ := vm.GroupSum(leader, 2, func(geom.Coord) int64 { return 1 }, strat)
 		if sum != 15 {
 			t.Errorf("%v: sum = %d, want 15 (16 members, 1 dead)", strat, sum)
@@ -214,7 +214,7 @@ func TestGroupBroadcastSkipsDeadSubtree(t *testing.T) {
 	// Kill the level-1 sub-leader of the SE quadrant: its whole 2x2 block
 	// loses the payload (no failover inside modeled collectives).
 	deadSub := geom.Coord{Col: 2, Row: 2}
-	vm.KillCoord(deadSub)
+	vm.Kill(vm.Hier.Grid.Index(deadSub))
 	got := make(map[geom.Coord]bool)
 	for _, m := range vm.Hier.Followers(leader, 2) {
 		m := m

@@ -85,16 +85,6 @@ func (h *Hierarchy) IsLeader(c geom.Coord, level int) bool {
 	return h.LeaderAt(c, level) == c
 }
 
-// LevelOf returns the highest level at which c is a leader. The grid
-// origin has LevelOf == Levels; odd-coordinate nodes have 0.
-func (h *Hierarchy) LevelOf(c geom.Coord) int {
-	lvl := 0
-	for lvl < h.Levels && h.IsLeader(c, lvl+1) {
-		lvl++
-	}
-	return lvl
-}
-
 // Followers returns all member coordinates of the level-k block led by
 // leader, including the leader itself, in row-major order. It panics if
 // leader is not a level-k leader.

@@ -91,9 +91,12 @@ func TestLevelOf(t *testing.T) {
 		{Col: 4, Row: 4}: 2,
 		{Col: 6, Row: 4}: 1,
 	}
-	for c, want := range cases {
-		if got := h.LevelOf(c); got != want {
-			t.Errorf("LevelOf(%v) = %d, want %d", c, got, want)
+	// c leads at every level up to its own and at none above it.
+	for c, top := range cases {
+		for level := 0; level <= h.Levels; level++ {
+			if got := h.IsLeader(c, level); got != (level <= top) {
+				t.Errorf("IsLeader(%v, %d) = %v, want %v", c, level, got, level <= top)
+			}
 		}
 	}
 }

@@ -102,9 +102,6 @@ func New(med *radio.Medium, grid *geom.Grid) *Protocol {
 // CellOf returns the cell of physical node id.
 func (p *Protocol) CellOf(id int) geom.Coord { return p.cellOf[id] }
 
-// Table returns node id's routing table (a copy).
-func (p *Protocol) Table(id int) Table { return p.tables[id] }
-
 // seedBase fills node id's base entries from its direct alive neighbors.
 func (p *Protocol) seedBase(id int) {
 	nw := p.med.Network()

@@ -288,7 +288,7 @@ func TestReinforceIsCheapWhenConverged(t *testing.T) {
 func TestTableAccessors(t *testing.T) {
 	p, _, _, _ := setup(t, 2, 40, 30, 8)
 	p.Run()
-	tab := p.Table(0)
+	tab := p.tables[0]
 	for d := geom.North; d < geom.NumDirs; d++ {
 		if tab[d] != p.NextHop(0, d) {
 			t.Error("Table and NextHop disagree")

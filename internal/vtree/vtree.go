@@ -168,18 +168,8 @@ func (p *Protocol) scheduleBroadcast(id int) {
 	})
 }
 
-// Parent returns node id's tree parent, or NoNode for the root and
-// unreached nodes.
-func (p *Protocol) Parent(id int) int { return p.parent[id] }
-
 // Depth returns node id's tree depth, or -1 if unreached.
 func (p *Protocol) Depth(id int) int { return p.depth[id] }
-
-// Children returns node id's child set. Callers must not modify it.
-func (p *Protocol) Children(id int) []int { return p.children[id] }
-
-// Root returns the tree root.
-func (p *Protocol) Root() int { return p.root }
 
 // Validate checks the structural invariants: every reached non-root node
 // has a reached parent one hop shallower that is a radio neighbor, and

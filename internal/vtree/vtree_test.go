@@ -127,7 +127,7 @@ func TestDisseminate(t *testing.T) {
 	// Every interior node forwards exactly once; leaves don't.
 	interior := int64(0)
 	for id := 0; id < nw.N(); id++ {
-		if len(p.Children(id)) > 0 {
+		if len(p.children[id]) > 0 {
 			interior++
 		}
 	}
@@ -170,7 +170,7 @@ func TestDisconnectedDeploymentPartialTree(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Depth(2) != -1 || p.Parent(2) != NoNode {
+	if p.Depth(2) != -1 || p.parent[2] != NoNode {
 		t.Error("isolated node should stay unreached")
 	}
 }
